@@ -111,6 +111,10 @@ func main() {
 	duration := flag.Duration("duration", 5*time.Second, "loadgen run length")
 
 	flag.Parse()
+	mode, err := skipper.ParseMode(*engineName)
+	if err != nil {
+		fatalf("-engine: %v", err)
+	}
 
 	switch {
 	case *clientMode && *loadgen:
@@ -144,10 +148,6 @@ func main() {
 		fatalf("encode dataset: %v", err)
 	}
 
-	mode := skipper.ModeSkipper
-	if *engineName == "vanilla" {
-		mode = skipper.ModeVanilla
-	}
 	var pc *skipper.PipelineConfig
 	if *pipeline {
 		pc = &skipper.PipelineConfig{PrefetchBytes: int64(*prefetchGB) * 1e9, DecodeWorkers: *decodeWorkers}

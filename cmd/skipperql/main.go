@@ -139,6 +139,11 @@ func main() {
 	traceFlag := flag.Bool("trace", false, "record simulator trace events and print a per-statement summary")
 	traceOut := flag.String("trace-out", "", "capture per-statement span trees and write a Chrome trace-event JSON file")
 	flag.Parse()
+	eng, err := parseEngine(*engineName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "skipperql: -engine: %v\n", err)
+		os.Exit(2)
+	}
 
 	var ds *workload.Dataset
 	switch *wl {
@@ -231,7 +236,7 @@ func main() {
 	planner := &sql.Planner{Catalog: ds.Catalog}
 	ob := &obs{traceLog: *traceFlag, traceOut: *traceOut}
 	if *command != "" {
-		execute(planner, ds, *engineName, *cache, *prune, sc, pc, ob, fs, *command)
+		execute(planner, ds, eng, *cache, *prune, sc, pc, ob, fs, *command)
 		return
 	}
 
@@ -262,7 +267,7 @@ func main() {
 		}
 		stmtText := buf.String()
 		buf.Reset()
-		execute(planner, ds, *engineName, *cache, *prune, sc, pc, ob, fs, stmtText)
+		execute(planner, ds, eng, *cache, *prune, sc, pc, ob, fs, stmtText)
 		fmt.Print("> ")
 	}
 }
@@ -296,7 +301,26 @@ type faultSetup struct {
 	rep     layout.Replication
 }
 
-func execute(planner *sql.Planner, ds *workload.Dataset, engineName string, cache int, prune bool, sc *segcache.Cache, pc *skipper.PipelineConfig, ob *obs, fs faultSetup, stmtText string) {
+// engineChoice is the parsed -engine flag: local runs the pull plan with
+// no simulation, otherwise mode selects the simulated engine.
+type engineChoice struct {
+	local bool
+	mode  skipper.Mode
+}
+
+// parseEngine accepts the simulated engines' names plus "local".
+func parseEngine(name string) (engineChoice, error) {
+	if name == "local" {
+		return engineChoice{local: true}, nil
+	}
+	mode, err := skipper.ParseMode(name)
+	if err != nil {
+		return engineChoice{}, fmt.Errorf("unknown engine %q (want skipper, vanilla or local)", name)
+	}
+	return engineChoice{mode: mode}, nil
+}
+
+func execute(planner *sql.Planner, ds *workload.Dataset, eng engineChoice, cache int, prune bool, sc *segcache.Cache, pc *skipper.PipelineConfig, ob *obs, fs faultSetup, stmtText string) {
 	if rest, analyze, ok := sql.StripExplain(stmtText); ok {
 		if analyze {
 			explainAnalyzeStmt(planner, ds, prune, rest)
@@ -310,7 +334,7 @@ func execute(planner *sql.Planner, ds *workload.Dataset, engineName string, cach
 		fmt.Println(err)
 		return
 	}
-	if engineName == "local" {
+	if eng.local {
 		rows, err := evalPulled(ds, spec, prune)
 		if err != nil {
 			fmt.Println(err)
@@ -319,15 +343,11 @@ func execute(planner *sql.Planner, ds *workload.Dataset, engineName string, cach
 		printRows(rows)
 		return
 	}
-	mode := skipper.ModeSkipper
-	if engineName == "vanilla" {
-		mode = skipper.ModeVanilla
-	}
 	store := make(map[segment.ObjectID]*segment.Segment)
 	ds.MergeInto(store)
 	qt := ob.capture(stmtText)
 	client := &skipper.Client{
-		Tenant: 0, Mode: mode, Catalog: ds.Catalog,
+		Tenant: 0, Mode: eng.mode, Catalog: ds.Catalog,
 		Queries: []skipper.QuerySpec{spec}, CacheObjects: cache,
 		StatsPruning: &prune,
 		SegCache:     sc,
@@ -375,7 +395,7 @@ func execute(planner *sql.Planner, ds *workload.Dataset, engineName string, cach
 	printRows(rows)
 	cs := res.Clients[0]
 	fmt.Printf("-- %s: %.1fs virtual (processing %.1fs, stalled %.1fs), %d GETs (%d from cache, %d pruned), %d switches\n",
-		mode, cs.Elapsed().Seconds(), cs.Processing.Seconds(), cs.Stalled().Seconds(),
+		eng.mode, cs.Elapsed().Seconds(), cs.Processing.Seconds(), cs.Stalled().Seconds(),
 		cs.GetsIssued, cs.CacheHits, cs.SegmentsSkipped, res.CSD.GroupSwitches)
 	if fs.devices > 1 {
 		parts := make([]string, len(res.Devices))

@@ -1,9 +1,9 @@
 package engine
 
 import (
-	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/expr"
 	"repro/internal/tuple"
@@ -106,42 +106,61 @@ func (a *HashAgg) Schema() *tuple.Schema { return a.schema }
 // setParallelism implements parallelizable.
 func (a *HashAgg) setParallelism(dop int) { a.dop = normDOP(dop) }
 
-// accum is one group's accumulator state.
+// accum is one group's accumulator state: its group values and one
+// aggState per aggregate.
 type accum struct {
-	key    string
 	groupV tuple.Row
-	counts []int64
-	sums   []float64
-	minmax []tuple.Value
-	seen   []bool
+	st     []aggState
+}
+
+// aggState is one aggregate's running state within a group. COUNT and
+// AVG are derived from count and sum at emit time; minmax is meaningful
+// once count > 0.
+type aggState struct {
+	count  int64
+	sum    float64
+	minmax tuple.Value
+}
+
+// newAccum returns an empty accumulator for the group with values gv.
+func (a *HashAgg) newAccum(gv tuple.Row) *accum {
+	return &accum{groupV: gv, st: make([]aggState, len(a.aggs))}
+}
+
+// foldScratch is the per-drain scratch of foldRow: the group key and
+// values of the row being folded. Each parallel worker owns one.
+type foldScratch struct {
+	key []byte
+	gv  tuple.Row
+}
+
+// appendGroupKey appends v's part of a group key to dst. Output order is
+// the sorted order of these keys, so their bytes fix GROUP BY order.
+func appendGroupKey(dst []byte, v tuple.Value) []byte {
+	dst = strconv.AppendInt(dst, int64(v.K), 10)
+	dst = append(dst, '|')
+	dst = v.AppendString(dst)
+	return append(dst, 0)
 }
 
 // foldRow folds one input row into the accumulator map. It touches only
-// groups and the row, so each parallel worker can fold into a private
-// map without locking.
-func (a *HashAgg) foldRow(groups map[string]*accum, row tuple.Row) error {
-	gv := make(tuple.Row, len(a.groups))
-	var kb strings.Builder
-	for i, g := range a.groups {
+// groups, sc and the row, so each parallel worker can fold into a
+// private map with a private scratch without locking. The key and group
+// values are copied out of the scratch only when a new group starts.
+func (a *HashAgg) foldRow(groups map[string]*accum, sc *foldScratch, row tuple.Row) error {
+	sc.key, sc.gv = sc.key[:0], sc.gv[:0]
+	for _, g := range a.groups {
 		v, err := g.E.Eval(row)
 		if err != nil {
 			return err
 		}
-		gv[i] = v
-		fmt.Fprintf(&kb, "%d|%s\x00", v.K, v.String())
+		sc.gv = append(sc.gv, v)
+		sc.key = appendGroupKey(sc.key, v)
 	}
-	key := kb.String()
-	acc, ok := groups[key]
+	acc, ok := groups[string(sc.key)]
 	if !ok {
-		acc = &accum{
-			key:    key,
-			groupV: gv,
-			counts: make([]int64, len(a.aggs)),
-			sums:   make([]float64, len(a.aggs)),
-			minmax: make([]tuple.Value, len(a.aggs)),
-			seen:   make([]bool, len(a.aggs)),
-		}
-		groups[key] = acc
+		acc = a.newAccum(slices.Clone(sc.gv))
+		groups[string(sc.key)] = acc
 	}
 	for i, spec := range a.aggs {
 		var v tuple.Value
@@ -152,51 +171,52 @@ func (a *HashAgg) foldRow(groups map[string]*accum, row tuple.Row) error {
 				return err
 			}
 		}
-		acc.counts[i]++
+		st := &acc.st[i]
 		switch spec.Kind {
 		case AggSum, AggAvg:
-			acc.sums[i] += v.AsFloat()
+			st.sum += v.AsFloat()
 		case AggMin:
-			if !acc.seen[i] || tuple.Compare(v, acc.minmax[i]) < 0 {
-				acc.minmax[i] = v
+			if st.count == 0 || tuple.Compare(v, st.minmax) < 0 {
+				st.minmax = v
 			}
 		case AggMax:
-			if !acc.seen[i] || tuple.Compare(v, acc.minmax[i]) > 0 {
-				acc.minmax[i] = v
+			if st.count == 0 || tuple.Compare(v, st.minmax) > 0 {
+				st.minmax = v
 			}
 		}
-		acc.seen[i] = true
+		st.count++
 	}
 	return nil
 }
 
-// mergeAccum folds src into dst: counts and sums add, MIN/MAX compare,
-// and the seen flags union — the partial-state merge of the parallel
-// drain. COUNT and AVG need no special casing because both are derived
-// from counts/sums at emit time.
+// mergeAccum folds src into dst: counts and sums add and MIN/MAX
+// compare — the partial-state merge of the parallel drain. COUNT and AVG
+// need no special casing because both are derived from count and sum at
+// emit time.
 func (a *HashAgg) mergeAccum(dst, src *accum) {
 	for i, spec := range a.aggs {
-		dst.counts[i] += src.counts[i]
-		dst.sums[i] += src.sums[i]
+		d, s := &dst.st[i], &src.st[i]
 		switch spec.Kind {
 		case AggMin:
-			if src.seen[i] && (!dst.seen[i] || tuple.Compare(src.minmax[i], dst.minmax[i]) < 0) {
-				dst.minmax[i] = src.minmax[i]
+			if s.count > 0 && (d.count == 0 || tuple.Compare(s.minmax, d.minmax) < 0) {
+				d.minmax = s.minmax
 			}
 		case AggMax:
-			if src.seen[i] && (!dst.seen[i] || tuple.Compare(src.minmax[i], dst.minmax[i]) > 0) {
-				dst.minmax[i] = src.minmax[i]
+			if s.count > 0 && (d.count == 0 || tuple.Compare(s.minmax, d.minmax) > 0) {
+				d.minmax = s.minmax
 			}
 		}
-		dst.seen[i] = dst.seen[i] || src.seen[i]
+		d.count += s.count
+		d.sum += s.sum
 	}
 }
 
 // drainSerial aggregates the child on the calling goroutine (DOP=1).
 func (a *HashAgg) drainSerial() (map[string]*accum, error) {
 	groups := make(map[string]*accum)
+	var sc foldScratch
 	err := drainBatches(a.bchild, func(row tuple.Row) error {
-		return a.foldRow(groups, row)
+		return a.foldRow(groups, &sc, row)
 	})
 	if err != nil {
 		return nil, err
@@ -210,7 +230,8 @@ func (a *HashAgg) drainSerial() (map[string]*accum, error) {
 // end.
 func (a *HashAgg) drainParallel() (map[string]*accum, error) {
 	maps := make([]map[string]*accum, a.dop)
-	scratch := make([]tuple.Row, a.dop)
+	rows := make([]tuple.Row, a.dop)
+	scratch := make([]foldScratch, a.dop)
 	for w := range maps {
 		maps[w] = make(map[string]*accum)
 	}
@@ -221,8 +242,8 @@ func (a *HashAgg) drainParallel() (map[string]*accum, error) {
 	err := runMorsels(a.bchild, a.dop, func(w int, b *tuple.Batch) error {
 		n := b.Len()
 		for i := 0; i < n; i++ {
-			scratch[w] = b.AppendRowTo(scratch[w][:0], i)
-			if err := a.foldRow(maps[w], scratch[w]); err != nil {
+			rows[w] = b.AppendRowTo(rows[w][:0], i)
+			if err := a.foldRow(maps[w], &scratch[w], rows[w]); err != nil {
 				return err
 			}
 		}
@@ -262,37 +283,36 @@ func (a *HashAgg) Open() error {
 	}
 	// Global aggregation over zero rows still yields one row of zeros.
 	if len(a.groups) == 0 && len(groups) == 0 {
-		groups[""] = &accum{
-			counts: make([]int64, len(a.aggs)),
-			sums:   make([]float64, len(a.aggs)),
-			minmax: make([]tuple.Value, len(a.aggs)),
-			seen:   make([]bool, len(a.aggs)),
-		}
+		groups[""] = a.newAccum(nil)
 	}
 	keys := make([]string, 0, len(groups))
 	for k := range groups {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	// All output rows share one arena.
+	width := len(a.groups) + len(a.aggs)
+	arena := make([]tuple.Value, len(keys)*width)
 	a.out = a.out[:0]
-	for _, k := range keys {
+	for gi, k := range keys {
 		acc := groups[k]
-		row := make(tuple.Row, 0, len(a.groups)+len(a.aggs))
+		row := arena[gi*width : gi*width : (gi+1)*width]
 		row = append(row, acc.groupV...)
 		for i, spec := range a.aggs {
+			st := acc.st[i]
 			switch spec.Kind {
 			case AggCount:
-				row = append(row, tuple.Int(acc.counts[i]))
+				row = append(row, tuple.Int(st.count))
 			case AggSum:
-				row = append(row, tuple.Float(acc.sums[i]))
+				row = append(row, tuple.Float(st.sum))
 			case AggAvg:
-				if acc.counts[i] == 0 {
+				if st.count == 0 {
 					row = append(row, tuple.Float(0))
 				} else {
-					row = append(row, tuple.Float(acc.sums[i]/float64(acc.counts[i])))
+					row = append(row, tuple.Float(st.sum/float64(st.count)))
 				}
 			case AggMin, AggMax:
-				row = append(row, acc.minmax[i])
+				row = append(row, st.minmax)
 			}
 		}
 		a.out = append(a.out, row)

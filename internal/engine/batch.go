@@ -4,12 +4,14 @@ import (
 	"repro/internal/tuple"
 )
 
-// DefaultBatchSize is the number of rows moved per NextBatch call. Large
-// enough to amortize per-call dispatch over data work, small enough to
-// keep a batch of every operator in cache.
+// DefaultBatchSize is the most rows one NextBatch call moves. Large enough
+// to amortize per-call dispatch over data work, small enough to keep a
+// batch of every operator in cache. It is a limit, not an allocation
+// size: operators that know how many rows a batch will hold size its
+// buffers to those rows (see reuseBatch).
 const DefaultBatchSize = 1024
 
-// BatchIterator is the batched Volcano interface: operators move
+// BatchIterator is the batched Volcano interface: operators move up to
 // DefaultBatchSize rows per call instead of one, so per-call dispatch,
 // hashing setup and schema lookups amortize over the batch. Every
 // built-in operator implements both Iterator and BatchIterator; the
@@ -131,24 +133,31 @@ func (c *rowCursor) next(bi BatchIterator) (tuple.Row, bool, error) {
 	return row, true, nil
 }
 
-// serveRowSlice serves rows[*idx:] through a lazily allocated, reused
-// batch, advancing *idx — the shared NextBatch body of every operator
-// that holds its output as a materialized row slice.
+// reuseBatch returns *out emptied and with room for n rows, allocating
+// it on first use and growing it when a later call (or a re-Open) needs
+// more room. Callers pass the rows the batch will hold, at most
+// DefaultBatchSize, so a small result never pays for a full-size batch.
+func reuseBatch(out **tuple.Batch, schema *tuple.Schema, n int) *tuple.Batch {
+	if *out == nil {
+		*out = tuple.NewBatch(schema, n)
+		return *out
+	}
+	(*out).Reset()
+	(*out).Reserve(n)
+	return *out
+}
+
+// serveRowSlice serves rows[*idx:] through a reused batch sized to the
+// rows it holds, advancing *idx — the shared NextBatch body of every
+// operator that holds its output as a materialized row slice.
 func serveRowSlice(out **tuple.Batch, schema *tuple.Schema, rows []tuple.Row, idx *int) (*tuple.Batch, bool, error) {
 	if *idx >= len(rows) {
 		return nil, false, nil
 	}
-	if *out == nil {
-		*out = tuple.NewBatch(schema, DefaultBatchSize)
-	}
-	b := *out
-	b.Reset()
-	n := len(rows) - *idx
-	if n > b.Cap() {
-		n = b.Cap()
-	}
-	for i := 0; i < n; i++ {
-		b.AppendRow(rows[*idx+i])
+	n := min(len(rows)-*idx, DefaultBatchSize)
+	b := reuseBatch(out, schema, n)
+	for _, row := range rows[*idx : *idx+n] {
+		b.AppendRow(row)
 	}
 	*idx += n
 	return b, true, nil

@@ -79,6 +79,20 @@ func BenchmarkHashAggGrouped(b *testing.B) {
 	}
 }
 
+// BenchmarkShapeSmall is a served statement's shaping stage: 25 rows
+// through Values → HashAgg → Sort → Project. Its B/op tracks how well
+// the operators size their batches to the rows they hold.
+func BenchmarkShapeSmall(b *testing.B) {
+	rows, sch := benchRowsN(25)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		out, err := Collect(shapeSmallPlan(sch, rows))
+		if err != nil || len(out) != 13 {
+			b.Fatalf("groups %d err %v", len(out), err)
+		}
+	}
+}
+
 func BenchmarkSort10k(b *testing.B) {
 	rows, sch := benchRows(10000)
 	b.ReportAllocs()

@@ -154,9 +154,9 @@ func Collect(it Iterator) ([]tuple.Row, error) {
 // SeqScan reads a relation segment by segment, in catalog order — the
 // strict plan-order pull that defeats CSD scheduling. It is batch-native:
 // NextBatch copies up to DefaultBatchSize rows of the current segment into
-// a reused columnar batch; Next serves single rows off the same segment
-// cursor, so mixing the two protocols stays consistent and per-segment
-// cost charges are identical on both paths.
+// a reused columnar batch sized to the rows it holds; Next serves single
+// rows off the same segment cursor, so mixing the two protocols stays
+// consistent and per-segment cost charges are identical on both paths.
 //
 // Against lazily decoded segments (segment.DecodeLazy output) the scan
 // performs the decode itself, per segment, and — when Project is set on a
@@ -520,17 +520,11 @@ func (s *SeqScan) nextBatch() (*tuple.Batch, bool, error) {
 		return nil, false, err
 	}
 	if s.cd != nil {
-		if s.out == nil {
-			s.out = tuple.NewBatch(s.table.Schema, DefaultBatchSize)
-		}
-		s.out.Reset()
-		n := s.nrows - s.rowIdx
-		if n > s.out.Cap() {
-			n = s.out.Cap()
-		}
-		s.out.AppendColumns(s.cd.Cols, s.rowIdx, s.rowIdx+n)
+		n := min(s.nrows-s.rowIdx, DefaultBatchSize)
+		b := reuseBatch(&s.out, s.table.Schema, n)
+		b.AppendColumns(s.cd.Cols, s.rowIdx, s.rowIdx+n)
 		s.rowIdx += n
-		return s.out, true, nil
+		return b, true, nil
 	}
 	return serveRowSlice(&s.out, s.table.Schema, s.rows, &s.rowIdx)
 }

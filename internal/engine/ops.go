@@ -44,16 +44,13 @@ func (f *Filter) NextBatch() (*tuple.Batch, bool, error) {
 }
 
 func (f *Filter) nextBatch() (*tuple.Batch, bool, error) {
-	if f.out == nil {
-		f.out = tuple.NewBatch(f.child.Schema(), DefaultBatchSize)
-	}
 	for {
 		in, ok, err := f.bchild.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		f.out.Reset()
 		n := in.Len()
+		out := reuseBatch(&f.out, f.child.Schema(), n)
 		for i := 0; i < n; i++ {
 			f.rowBuf = in.AppendRowTo(f.rowBuf[:0], i)
 			keep, err := expr.EvalBool(f.pred, f.rowBuf)
@@ -61,11 +58,11 @@ func (f *Filter) nextBatch() (*tuple.Batch, bool, error) {
 				return nil, false, err
 			}
 			if keep {
-				f.out.AppendBatchRow(in, i)
+				out.AppendBatchRow(in, i)
 			}
 		}
-		if f.out.Len() > 0 {
-			return f.out, true, nil
+		if out.Len() > 0 {
+			return out, true, nil
 		}
 	}
 }
@@ -132,12 +129,11 @@ func (pr *Project) nextBatch() (*tuple.Batch, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	if pr.out == nil {
-		pr.out = tuple.NewBatch(pr.schema, DefaultBatchSize)
+	if pr.outBuf == nil {
 		pr.outBuf = make(tuple.Row, len(pr.cols))
 	}
-	pr.out.Reset()
 	n := in.Len()
+	out := reuseBatch(&pr.out, pr.schema, n)
 	for i := 0; i < n; i++ {
 		pr.rowBuf = in.AppendRowTo(pr.rowBuf[:0], i)
 		for c, pc := range pr.cols {
@@ -150,9 +146,9 @@ func (pr *Project) nextBatch() (*tuple.Batch, bool, error) {
 			}
 			pr.outBuf[c] = v
 		}
-		pr.out.AppendRow(pr.outBuf)
+		out.AppendRow(pr.outBuf)
 	}
-	return pr.out, true, nil
+	return out, true, nil
 }
 
 // Next implements Iterator.
@@ -211,15 +207,12 @@ func (l *Limit) nextBatch() (*tuple.Batch, bool, error) {
 		l.seen += in.Len()
 		return in, true, nil
 	}
-	if l.out == nil {
-		l.out = tuple.NewBatch(l.child.Schema(), DefaultBatchSize)
-	}
-	l.out.Reset()
+	out := reuseBatch(&l.out, l.child.Schema(), take)
 	for i := 0; i < take; i++ {
-		l.out.AppendBatchRow(in, i)
+		out.AppendBatchRow(in, i)
 	}
 	l.seen += take
-	return l.out, true, nil
+	return out, true, nil
 }
 
 // Next implements Iterator.
@@ -238,6 +231,7 @@ type Distinct struct {
 
 	out    *tuple.Batch
 	rowBuf tuple.Row
+	key    []byte
 	cur    rowCursor
 	ostats *OpStats
 }
@@ -266,27 +260,24 @@ func (d *Distinct) NextBatch() (*tuple.Batch, bool, error) {
 }
 
 func (d *Distinct) nextBatch() (*tuple.Batch, bool, error) {
-	if d.out == nil {
-		d.out = tuple.NewBatch(d.child.Schema(), DefaultBatchSize)
-	}
 	for {
 		in, ok, err := d.bchild.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		d.out.Reset()
 		n := in.Len()
+		out := reuseBatch(&d.out, d.child.Schema(), n)
 		for i := 0; i < n; i++ {
 			d.rowBuf = in.AppendRowTo(d.rowBuf[:0], i)
-			key := rowKey(d.rowBuf)
-			if _, dup := d.seen[key]; dup {
+			d.key = appendRowKey(d.key[:0], d.rowBuf)
+			if _, dup := d.seen[string(d.key)]; dup {
 				continue
 			}
-			d.seen[key] = struct{}{}
-			d.out.AppendBatchRow(in, i)
+			d.seen[string(d.key)] = struct{}{}
+			out.AppendBatchRow(in, i)
 		}
-		if d.out.Len() > 0 {
-			return d.out, true, nil
+		if out.Len() > 0 {
+			return out, true, nil
 		}
 	}
 }
@@ -300,15 +291,14 @@ func (d *Distinct) Close() error {
 	return d.bchild.Close()
 }
 
-// rowKey renders a canonical duplicate-detection key.
-func rowKey(row tuple.Row) string {
-	var sb []byte
+// appendRowKey appends row's canonical duplicate-detection key to dst.
+func appendRowKey(dst []byte, row tuple.Row) []byte {
 	for _, v := range row {
-		sb = append(sb, byte(v.K))
-		sb = append(sb, v.String()...)
-		sb = append(sb, 0)
+		dst = append(dst, byte(v.K))
+		dst = v.AppendString(dst)
+		dst = append(dst, 0)
 	}
-	return string(sb)
+	return dst
 }
 
 // Values is a leaf iterator over in-memory rows; used by tests and by the

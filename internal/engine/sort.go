@@ -53,26 +53,27 @@ func (s *Sort) Open() error {
 		}
 		s.out = append(s.out, b.Rows()...)
 	}
-	// Precompute key values to avoid re-evaluating during comparisons.
-	keyVals := make([][]tuple.Value, len(s.out))
+	// Precompute key values to avoid re-evaluating during comparisons:
+	// row i's keys are keyVals[i*nk : (i+1)*nk] of one arena.
+	nk := len(s.keys)
+	keyVals := make([]tuple.Value, len(s.out)*nk)
 	for i, row := range s.out {
-		kv := make([]tuple.Value, len(s.keys))
 		for j, k := range s.keys {
 			v, err := k.E.Eval(row)
 			if err != nil {
 				return err
 			}
-			kv[j] = v
+			keyVals[i*nk+j] = v
 		}
-		keyVals[i] = kv
 	}
 	idx := make([]int, len(s.out))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
+		ka, kb := keyVals[idx[a]*nk:], keyVals[idx[b]*nk:]
 		for j, k := range s.keys {
-			c := tuple.Compare(keyVals[idx[a]][j], keyVals[idx[b]][j])
+			c := tuple.Compare(ka[j], kb[j])
 			if c == 0 {
 				continue
 			}

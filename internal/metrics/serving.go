@@ -51,17 +51,19 @@ type AdmissionSnapshot struct {
 
 // Snapshot copies the counters. Individual loads are atomic; the
 // snapshot as a whole is not a consistent cut under concurrent updates,
-// which is fine for monitoring output.
+// which is fine for monitoring output. Outcomes are loaded before the
+// admissions they follow, so a snapshot never shows more queries
+// completed or failed than admitted.
 func (c *AdmissionCounters) Snapshot() AdmissionSnapshot {
-	return AdmissionSnapshot{
-		Admitted:  c.Admitted.Load(),
-		Rejected:  c.Rejected.Load(),
-		Queued:    c.Queued.Load(),
-		Expired:   c.Expired.Load(),
-		Completed: c.Completed.Load(),
-		Failed:    c.Failed.Load(),
-		QueueWait: time.Duration(c.QueueWaitNS.Load()),
-	}
+	var s AdmissionSnapshot
+	s.Completed = c.Completed.Load()
+	s.Failed = c.Failed.Load()
+	s.Expired = c.Expired.Load()
+	s.Admitted = c.Admitted.Load()
+	s.Queued = c.Queued.Load()
+	s.Rejected = c.Rejected.Load()
+	s.QueueWait = time.Duration(c.QueueWaitNS.Load())
+	return s
 }
 
 // Add folds another snapshot into s — the cluster-wide total of

@@ -41,6 +41,18 @@ func (m Mode) String() string {
 	return "skipper"
 }
 
+// ParseMode maps an engine name, as String renders it, to its Mode.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "skipper":
+		return ModeSkipper, nil
+	case "vanilla":
+		return ModeVanilla, nil
+	default:
+		return 0, fmt.Errorf("skipper: unknown engine %q (want skipper or vanilla)", s)
+	}
+}
+
 // Costs bundles the virtual processing-cost calibration (Table 3).
 type Costs struct {
 	// VanillaPerObject is the pull engine's per-segment processing cost

@@ -3,6 +3,7 @@ package skipper
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,6 +68,33 @@ func buildCluster(n int, mode Mode, cache int) *Cluster {
 		}
 	}
 	return &Cluster{Clients: clients, Store: store}
+}
+
+func TestParseMode(t *testing.T) {
+	cases := []struct {
+		in   string
+		want Mode
+		ok   bool
+	}{
+		{"skipper", ModeSkipper, true},
+		{"vanilla", ModeVanilla, true},
+		{"", 0, false},
+		{"bogus", 0, false},
+		{"local", 0, false},
+		{"Skipper", 0, false},
+	}
+	for _, c := range cases {
+		got, err := ParseMode(c.in)
+		if (err == nil) != c.ok || (c.ok && got != c.want) {
+			t.Fatalf("ParseMode(%q) = %v, %v; want %v ok=%v", c.in, got, err, c.want, c.ok)
+		}
+		if c.ok && got.String() != c.in {
+			t.Fatalf("ParseMode(%q).String() = %q", c.in, got)
+		}
+		if !c.ok && !strings.Contains(err.Error(), "want skipper or vanilla") {
+			t.Fatalf("ParseMode(%q) error %q does not name the valid engines", c.in, err)
+		}
+	}
 }
 
 func TestVanillaAndSkipperSameResults(t *testing.T) {

@@ -1,11 +1,11 @@
 package tuple
 
-// Batch is a column-oriented buffer of rows with a fixed nominal capacity.
-// It is the unit of data flow in the batched execution core: operators fill
-// a batch column by column (or row by row), hand it downstream, and reuse
-// the buffers on the next cycle. A batch handed to a consumer is valid only
-// until the producer's next NextBatch call, so blocking consumers must copy
-// what they keep (Rows and Row return copies).
+// Batch is a column-oriented buffer of rows. It is the unit of data flow
+// in the batched execution core: operators fill a batch column by column
+// (or row by row), hand it downstream, and reuse the buffers on the next
+// cycle. A batch handed to a consumer is valid only until the producer's
+// next NextBatch call, so blocking consumers must copy what they keep
+// (Rows and Row return copies).
 type Batch struct {
 	schema *Schema
 	cols   [][]Value
@@ -13,7 +13,9 @@ type Batch struct {
 }
 
 // NewBatch returns an empty batch over schema with room for capacity rows
-// per column.
+// per column. Size capacity to the rows the batch will hold: the buffers
+// are allocated up front, so a large capacity costs memory even when few
+// rows arrive. Reserve grows a reused batch when a later fill needs more.
 func NewBatch(schema *Schema, capacity int) *Batch {
 	if capacity <= 0 {
 		capacity = 1
@@ -40,7 +42,8 @@ func (b *Batch) Schema() *Schema { return b.schema }
 // Len returns the number of rows currently in the batch.
 func (b *Batch) Len() int { return b.n }
 
-// Cap returns the per-column buffer capacity.
+// Cap returns the per-column buffer capacity: how many rows fit before an
+// append reallocates.
 func (b *Batch) Cap() int {
 	if len(b.cols) == 0 {
 		return 0
@@ -48,8 +51,24 @@ func (b *Batch) Cap() int {
 	return cap(b.cols[0])
 }
 
-// Full reports whether the batch has reached its capacity.
+// Full reports whether the batch holds as many rows as its buffers have
+// room for. It marks the per-batch row limit only for producers that fill
+// until Full without knowing their output size, and so allocate the batch
+// at that limit. A batch sized to the rows it holds is Full once they are
+// in.
 func (b *Batch) Full() bool { return b.n >= b.Cap() }
+
+// Reserve grows the column buffers, keeping their rows, so the batch can
+// hold n rows without reallocating. It never shrinks a buffer.
+func (b *Batch) Reserve(n int) {
+	for c, col := range b.cols {
+		if cap(col) < n {
+			grown := make([]Value, len(col), n)
+			copy(grown, col)
+			b.cols[c] = grown
+		}
+	}
+}
 
 // Reset empties the batch, keeping the column buffers for reuse.
 func (b *Batch) Reset() {

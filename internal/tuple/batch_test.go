@@ -77,6 +77,32 @@ func TestBatchResetReuse(t *testing.T) {
 	}
 }
 
+func TestBatchReserve(t *testing.T) {
+	sch := batchTestSchema()
+	rng := rand.New(rand.NewSource(4))
+	b := NewBatch(sch, 2)
+	rows := []Row{randRow(rng), randRow(rng)}
+	for _, r := range rows {
+		b.AppendRow(r)
+	}
+	if !b.Full() {
+		t.Fatal("a batch sized to its rows should be full once they are in")
+	}
+	b.Reserve(8)
+	if b.Cap() != 8 || b.Len() != 2 || b.Full() {
+		t.Fatalf("after Reserve(8): len %d cap %d full %v", b.Len(), b.Cap(), b.Full())
+	}
+	for i, r := range rows {
+		if !reflect.DeepEqual(b.Row(i), r) {
+			t.Fatalf("row %d lost by Reserve", i)
+		}
+	}
+	b.Reserve(3)
+	if b.Cap() != 8 {
+		t.Fatalf("Reserve shrank the buffers to %d", b.Cap())
+	}
+}
+
 func TestBatchAppendBatchRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sch := batchTestSchema()

@@ -6,6 +6,7 @@ package tuple
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -102,23 +103,32 @@ func (v Value) IsTrue() bool { return v.K == KindBool && v.I != 0 }
 // String renders the value for display and hashing-independent keys
 // (dates as YYYY-MM-DD, floats with %g).
 func (v Value) String() string {
+	if v.K == KindString {
+		return v.S
+	}
+	var buf [32]byte
+	return string(v.AppendString(buf[:0]))
+}
+
+// AppendString appends the String rendering of v to dst and returns it;
+// pass a reused scratch slice to build keys without allocating.
+func (v Value) AppendString(dst []byte) []byte {
 	switch v.K {
 	case KindInt64:
-		return fmt.Sprintf("%d", v.I)
+		return strconv.AppendInt(dst, v.I, 10)
 	case KindFloat64:
-		return fmt.Sprintf("%g", v.F)
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
 	case KindString:
-		return v.S
+		return append(dst, v.S...)
 	case KindDate:
-		t := time.Unix(v.I*86400, 0).UTC()
-		return t.Format("2006-01-02")
+		return time.Unix(v.I*86400, 0).UTC().AppendFormat(dst, "2006-01-02")
 	case KindBool:
 		if v.I != 0 {
-			return "true"
+			return append(dst, "true"...)
 		}
-		return "false"
+		return append(dst, "false"...)
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 

@@ -1,6 +1,8 @@
 package tuple
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -66,6 +68,40 @@ func TestValueStrings(t *testing.T) {
 	if (Value{K: Kind(99)}).String() != "?" {
 		t.Error("unknown value kind should render ?")
 	}
+}
+
+// TestValueAppendStringMatchesFmt pins the allocation-free rendering to
+// the fmt verbs it replaced: grouping keys and DISTINCT keys are built
+// from these bytes, so any drift would reorder GROUP BY output.
+func TestValueAppendStringMatchesFmt(t *testing.T) {
+	ints := []int64{0, 1, -1, 9, 10, 42, -12345, math.MaxInt64, math.MinInt64}
+	floats := []float64{0, math.Copysign(0, -1), 0.5, -0.25, 2, 1e21, 1e20, 1e-7, 123456789.125,
+		math.Pi, math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	dates := []int64{0, -1, 9131, 20000, -719162, 2932896}
+	check := func(v Value, want string) {
+		t.Helper()
+		if got := string(v.AppendString([]byte("x"))); got != "x"+want {
+			t.Errorf("%+v appends %q, want %q", v, got[1:], want)
+		}
+		if got := v.String(); got != want {
+			t.Errorf("%+v renders %q, want %q", v, got, want)
+		}
+	}
+	for _, i := range ints {
+		check(Int(i), fmt.Sprintf("%d", i))
+	}
+	for _, f := range floats {
+		check(Float(f), fmt.Sprintf("%g", f))
+	}
+	for _, d := range dates {
+		check(DateFromDays(d), time.Unix(d*86400, 0).UTC().Format("2006-01-02"))
+	}
+	for _, s := range []string{"", "a|b", "\x00"} {
+		check(Str(s), s)
+	}
+	check(Bool(true), "true")
+	check(Bool(false), "false")
+	check(Value{K: Kind(99)}, "?")
 }
 
 func TestRowString(t *testing.T) {
