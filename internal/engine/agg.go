@@ -62,7 +62,6 @@ type GroupCol struct {
 // any DOP.
 type HashAgg struct {
 	child  Iterator
-	bchild BatchIterator
 	groups []GroupCol
 	aggs   []AggSpec
 	schema *tuple.Schema
@@ -84,7 +83,7 @@ func NewHashAgg(child Iterator, groups []GroupCol, aggs []AggSpec) *HashAgg {
 	for _, a := range aggs {
 		cols = append(cols, tuple.Column{Name: a.Name, Kind: aggOutputKind(a)})
 	}
-	return &HashAgg{child: child, bchild: AsBatch(child), groups: groups, aggs: aggs, schema: tuple.NewSchema(cols...)}
+	return &HashAgg{child: child, groups: groups, aggs: aggs, schema: tuple.NewSchema(cols...)}
 }
 
 // aggOutputKind: COUNT yields int64, SUM/AVG yield float64, MIN/MAX yield
@@ -215,7 +214,7 @@ func (a *HashAgg) mergeAccum(dst, src *accum) {
 func (a *HashAgg) drainSerial() (map[string]*accum, error) {
 	groups := make(map[string]*accum)
 	var sc foldScratch
-	err := drainBatches(a.bchild, func(row tuple.Row) error {
+	err := drainBatches(a.child, func(row tuple.Row) error {
 		return a.foldRow(groups, &sc, row)
 	})
 	if err != nil {
@@ -235,11 +234,11 @@ func (a *HashAgg) drainParallel() (map[string]*accum, error) {
 	for w := range maps {
 		maps[w] = make(map[string]*accum)
 	}
-	if err := a.bchild.Open(); err != nil {
-		a.bchild.Close()
+	if err := a.child.Open(); err != nil {
+		a.child.Close()
 		return nil, err
 	}
-	err := runMorsels(a.bchild, a.dop, func(w int, b *tuple.Batch) error {
+	err := runMorsels(a.child, a.dop, func(w int, b *tuple.Batch) error {
 		n := b.Len()
 		for i := 0; i < n; i++ {
 			rows[w] = b.AppendRowTo(rows[w][:0], i)
@@ -249,7 +248,7 @@ func (a *HashAgg) drainParallel() (map[string]*accum, error) {
 		}
 		return nil
 	})
-	if cerr := a.bchild.Close(); err == nil {
+	if cerr := a.child.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
@@ -321,17 +320,7 @@ func (a *HashAgg) Open() error {
 	return nil
 }
 
-// Next implements Iterator.
-func (a *HashAgg) Next() (tuple.Row, bool, error) {
-	if a.idx >= len(a.out) {
-		return nil, false, nil
-	}
-	r := a.out[a.idx]
-	a.idx++
-	return r, true, nil
-}
-
-// NextBatch implements BatchIterator, sharing the row cursor with Next.
+// NextBatch implements Iterator.
 func (a *HashAgg) NextBatch() (*tuple.Batch, bool, error) {
 	if a.ostats != nil {
 		return timedBatch(a.ostats, a.nextBatch)

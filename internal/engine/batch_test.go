@@ -3,52 +3,12 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 
-	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/segment"
 	"repro/internal/tuple"
 )
-
-// rowOnlyIter hides the batch interface of an operator, forcing AsBatch
-// to fall back to the BatchAdapter — the row-at-a-time protocol of the
-// seed engine.
-type rowOnlyIter struct{ it Iterator }
-
-func (r rowOnlyIter) Open() error                    { return r.it.Open() }
-func (r rowOnlyIter) Next() (tuple.Row, bool, error) { return r.it.Next() }
-func (r rowOnlyIter) Close() error                   { return r.it.Close() }
-func (r rowOnlyIter) Schema() *tuple.Schema          { return r.it.Schema() }
-
-func TestBatchAdapterRoundTrip(t *testing.T) {
-	rows, sch := benchRowsN(2500) // not a multiple of DefaultBatchSize
-	bi := AsBatch(rowOnlyIter{NewValues(sch, rows)})
-	if _, isAdapter := bi.(*BatchAdapter); !isAdapter {
-		t.Fatal("row-only iterator should wrap in BatchAdapter")
-	}
-	got, err := CollectBatches(bi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rows) {
-		t.Fatalf("adapter round trip differs: %d rows vs %d", len(got), len(rows))
-	}
-}
-
-func TestRowAdapterOverBatchNative(t *testing.T) {
-	rows, sch := benchRowsN(2500)
-	ra := &RowAdapter{B: NewValues(sch, rows)}
-	got, err := Collect(Iterator(ra))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rows) {
-		t.Fatal("RowAdapter differs from source rows")
-	}
-}
 
 func benchRowsN(n int) ([]tuple.Row, *tuple.Schema) {
 	sch := tuple.NewSchema(
@@ -115,8 +75,6 @@ func TestHashJoinBuildSideFetchError(t *testing.T) {
 	}
 }
 
-// --- differential property test: severed row edges vs end-to-end batches ---
-
 // randTable builds the segments of a random multi-segment table.
 func randTable(t *testing.T, rng *rand.Rand, name string, cols []tuple.Column, n, perSeg int) []*segment.Segment {
 	t.Helper()
@@ -136,85 +94,6 @@ func randTable(t *testing.T, rng *rand.Rand, name string, cols []tuple.Column, n
 		rows[i] = row
 	}
 	return segment.Split(0, name, rows, perSeg, 1e9)
-}
-
-// TestBatchVsRowPropertyPipelines: for several random datasets, a
-// scan→filter→join→agg→sort pipeline run with every edge severed to
-// row-at-a-time must match the same pipeline run batch-to-batch.
-func TestBatchVsRowPropertyPipelines(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		store := make(map[segment.ObjectID]*segment.Segment)
-		cat := catalog.New(0)
-		fsegs := randTable(t, rng, "f", []tuple.Column{
-			{Name: "fk", Kind: tuple.KindInt64},
-			{Name: "fv", Kind: tuple.KindFloat64},
-		}, 600+rng.Intn(500), 100)
-		dsegs := randTable(t, rng, "d", []tuple.Column{
-			{Name: "dk", Kind: tuple.KindInt64},
-			{Name: "dn", Kind: tuple.KindString},
-		}, 80, 30)
-		for _, sg := range fsegs {
-			store[sg.ID] = sg
-		}
-		for _, sg := range dsegs {
-			store[sg.ID] = sg
-		}
-		fm := cat.MustAddTable("f", tuple.NewSchema(
-			tuple.Column{Name: "fk", Kind: tuple.KindInt64},
-			tuple.Column{Name: "fv", Kind: tuple.KindFloat64}), fsegs)
-		dm := cat.MustAddTable("d", tuple.NewSchema(
-			tuple.Column{Name: "dk", Kind: tuple.KindInt64},
-			tuple.Column{Name: "dn", Kind: tuple.KindString}), dsegs)
-		ctx := NewTestCtx(store)
-
-		mkPlan := func(edge func(Iterator) Iterator) Iterator {
-			scanF := NewFilter(edge(NewSeqScan(ctx, fm)), expr.ColGE(fm.Schema, "fk", tuple.Int(5)))
-			join := JoinOn(edge(scanF), edge(NewSeqScan(ctx, dm)), [][2]string{{"fk", "dk"}})
-			agg := NewHashAgg(edge(join),
-				[]GroupCol{{Name: "dn", Kind: tuple.KindString, E: expr.Bind(join.Schema(), "dn")}},
-				[]AggSpec{
-					{Kind: AggCount, Name: "n"},
-					{Kind: AggSum, Arg: expr.Bind(join.Schema(), "fv"), Name: "s"},
-					{Kind: AggMin, Arg: expr.Bind(join.Schema(), "fk"), Name: "lo", ArgKind: tuple.KindInt64},
-				})
-			return NewSort(edge(agg), []SortKey{{E: expr.NewCol(0, "dn")}})
-		}
-
-		rowRes, err := Collect(rowOnlyIter{mkPlan(func(it Iterator) Iterator { return rowOnlyIter{it} })})
-		if err != nil {
-			t.Fatal(err)
-		}
-		batchRes, err := CollectBatches(AsBatch(mkPlan(func(it Iterator) Iterator { return it })))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(renderRows(rowRes), renderRows(batchRes)) {
-			t.Fatalf("seed %d: row pipeline and batch pipeline disagree:\n%v\n%v",
-				seed, renderRows(rowRes), renderRows(batchRes))
-		}
-		// The pipelines must also agree under unordered comparison with a
-		// distinct+limit tail, exercising the remaining operators.
-		mkTail := func(edge func(Iterator) Iterator) Iterator {
-			scanF := NewFilter(edge(NewSeqScan(ctx, fm)), expr.ColGE(fm.Schema, "fk", tuple.Int(10)))
-			proj := NewProject(edge(scanF), []ProjectCol{{Name: "fk", Kind: tuple.KindInt64, E: expr.Bind(fm.Schema, "fk")}})
-			return NewLimit(edge(NewDistinct(edge(proj))), 25)
-		}
-		rowTail, err := Collect(rowOnlyIter{mkTail(func(it Iterator) Iterator { return rowOnlyIter{it} })})
-		if err != nil {
-			t.Fatal(err)
-		}
-		batchTail, err := CollectBatches(AsBatch(mkTail(func(it Iterator) Iterator { return it })))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt, bt := renderRows(rowTail), renderRows(batchTail)
-		sort.Strings(rt)
-		sort.Strings(bt)
-		if !reflect.DeepEqual(rt, bt) {
-			t.Fatalf("seed %d: distinct/limit tails disagree:\n%v\n%v", seed, rt, bt)
-		}
-	}
 }
 
 func renderRows(rows []tuple.Row) []string {

@@ -115,48 +115,47 @@ func NewTestCtx(store map[segment.ObjectID]*segment.Segment) *Ctx {
 	return &Ctx{Clock: NopClock{}, Fetch: MapFetcher(store)}
 }
 
-// Iterator is the Volcano operator interface.
+// Iterator is the batched Volcano operator interface: operators move up
+// to DefaultBatchSize rows per call, so per-call dispatch, hashing setup
+// and schema lookups amortize over the batch. A returned batch is valid
+// only until the next NextBatch call on the same operator (operators
+// reuse their output buffers), so a consumer that keeps rows past that
+// point copies them — b.Rows() materializes fresh rows.
 type Iterator interface {
 	// Open prepares the operator for iteration.
 	Open() error
-	// Next returns the next row; ok=false signals exhaustion.
-	Next() (row tuple.Row, ok bool, err error)
+	// NextBatch returns the next batch of rows; ok=false signals
+	// exhaustion. A returned batch is never empty.
+	NextBatch() (*tuple.Batch, bool, error)
 	// Close releases resources. Close after a failed Open is allowed.
 	Close() error
 	// Schema describes the output rows.
 	Schema() *tuple.Schema
 }
 
-// Collect fully drains an iterator and returns all rows. Batch-native
-// operators are drained batch-at-a-time; row-only iterators fall back to
-// the classic pull loop.
+// Collect fully drains an iterator and materializes all rows.
 func Collect(it Iterator) ([]tuple.Row, error) {
-	if bi, ok := it.(BatchIterator); ok {
-		return CollectBatches(bi)
-	}
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
 	defer it.Close()
 	var out []tuple.Row
 	for {
-		row, ok, err := it.Next()
+		b, ok, err := it.NextBatch()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return out, nil
 		}
-		out = append(out, row)
+		out = append(out, b.Rows()...)
 	}
 }
 
 // SeqScan reads a relation segment by segment, in catalog order — the
-// strict plan-order pull that defeats CSD scheduling. It is batch-native:
-// NextBatch copies up to DefaultBatchSize rows of the current segment into
-// a reused columnar batch sized to the rows it holds; Next serves single
-// rows off the same segment cursor, so mixing the two protocols stays
-// consistent and per-segment cost charges are identical on both paths.
+// strict plan-order pull that defeats CSD scheduling. NextBatch copies up
+// to DefaultBatchSize rows of the current segment into a reused columnar
+// batch sized to the rows it holds.
 //
 // Against lazily decoded segments (segment.DecodeLazy output) the scan
 // performs the decode itself, per segment, and — when Project is set on a
@@ -481,32 +480,9 @@ func (s *SeqScan) submitAhead(sg *segment.Segment) {
 	s.ahead = append(s.ahead, job)
 }
 
-// Next implements Iterator.
-func (s *SeqScan) Next() (tuple.Row, bool, error) {
-	ok, err := s.loadSegment()
-	if !ok {
-		return nil, false, err
-	}
-	if s.cd != nil {
-		row := make(tuple.Row, len(s.cd.Cols))
-		for c := range s.cd.Cols {
-			if s.cd.Cols[c] == nil {
-				row[c] = tuple.Value{K: s.table.Schema.Cols[c].Kind}
-			} else {
-				row[c] = s.cd.Cols[c][s.rowIdx]
-			}
-		}
-		s.rowIdx++
-		return row, true, nil
-	}
-	row := s.rows[s.rowIdx]
-	s.rowIdx++
-	return row, true, nil
-}
-
-// NextBatch implements BatchIterator. Batches never span a segment
-// boundary, so early termination (e.g. under a LIMIT) fetches exactly the
-// segments the row path would.
+// NextBatch implements Iterator. Batches never span a segment boundary,
+// so early termination (e.g. under a LIMIT) fetches no segment past the
+// one holding the last row consumed.
 func (s *SeqScan) NextBatch() (*tuple.Batch, bool, error) {
 	if s.ostats != nil {
 		return timedBatch(s.ostats, s.nextBatch)

@@ -206,7 +206,7 @@ func TestHashJoinHashCollisionSafety(t *testing.T) {
 	}
 }
 
-func TestBuildJoinTreeThreeWay(t *testing.T) {
+func TestJoinOnThreeWay(t *testing.T) {
 	a := tuple.NewSchema(tuple.Column{Name: "x", Kind: tuple.KindInt64})
 	b := tuple.NewSchema(tuple.Column{Name: "y", Kind: tuple.KindInt64})
 	c := tuple.NewSchema(tuple.Column{Name: "z", Kind: tuple.KindInt64})
@@ -217,14 +217,10 @@ func TestBuildJoinTreeThreeWay(t *testing.T) {
 		}
 		return NewValues(s, rows)
 	}
-	tree, err := BuildJoinTree(
-		[]Iterator{mk(a, 1, 2, 3), mk(b, 2, 3, 4), mk(c, 3, 4, 5)},
-		[]JoinSpec{{LeftCol: "x", RightCol: "y"}, {LeftCol: "y", RightCol: "z"}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Collect(tree)
+	// Left-deep: (a ⋈ b) ⋈ c, the second join's left key resolved against
+	// the accumulated schema.
+	ab := JoinOn(mk(a, 1, 2, 3), mk(b, 2, 3, 4), [][2]string{{"x", "y"}})
+	rows, err := Collect(JoinOn(ab, mk(c, 3, 4, 5), [][2]string{{"y", "z"}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,13 +228,6 @@ func TestBuildJoinTreeThreeWay(t *testing.T) {
 	// has 3,4,5 so y=2 no match; y=3 matches z=3.
 	if len(rows) != 1 || rows[0][0].AsInt() != 3 {
 		t.Fatalf("rows %v", rows)
-	}
-}
-
-func TestBuildJoinTreeErrors(t *testing.T) {
-	s := tuple.NewSchema(tuple.Column{Name: "x", Kind: tuple.KindInt64})
-	if _, err := BuildJoinTree([]Iterator{NewValues(s, nil)}, nil); err == nil {
-		t.Fatal("single input accepted")
 	}
 }
 

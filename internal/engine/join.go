@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/tuple"
@@ -25,7 +24,6 @@ import (
 // differ.
 type HashJoin struct {
 	left, right         Iterator
-	bleft, bright       BatchIterator
 	leftKeys, rightKeys []int
 	schema              *tuple.Schema
 	dop                 int
@@ -59,7 +57,6 @@ type HashJoin struct {
 	out    *tuple.Batch
 	outBuf tuple.Row
 	ostats *OpStats
-	cur    rowCursor
 }
 
 // NewHashJoin joins left and right on equality of the given key columns
@@ -70,7 +67,6 @@ func NewHashJoin(left, right Iterator, leftKeys, rightKeys []int) *HashJoin {
 	}
 	return &HashJoin{
 		left: left, right: right,
-		bleft: AsBatch(left), bright: AsBatch(right),
 		leftKeys: leftKeys, rightKeys: rightKeys,
 		schema: left.Schema().Concat(right.Schema()),
 	}
@@ -106,7 +102,7 @@ func keysEqual(a tuple.Row, ak []int, b tuple.Row, bk []int) bool {
 // Open implements Iterator: drains the build side batch-at-a-time, hashing
 // each batch's key columns in one vectorized pass.
 func (j *HashJoin) Open() error {
-	if err := j.bleft.Open(); err != nil {
+	if err := j.left.Open(); err != nil {
 		return err
 	}
 	var buildErr error
@@ -116,16 +112,15 @@ func (j *HashJoin) Open() error {
 		buildErr = j.buildSerial()
 	}
 	if buildErr != nil {
-		j.bleft.Close()
+		j.left.Close()
 		return buildErr
 	}
-	if err := j.bleft.Close(); err != nil {
+	if err := j.left.Close(); err != nil {
 		return err
 	}
 	j.probeBatch, j.probeIdx, j.matches, j.matchIdx = nil, 0, nil, 0
 	j.parQueue = nil
-	j.cur.reset()
-	return j.bright.Open()
+	return j.right.Open()
 }
 
 // buildSerial is the DOP=1 build: one goroutine hashes and inserts every
@@ -135,7 +130,7 @@ func (j *HashJoin) buildSerial() error {
 	j.buildRows = j.buildRows[:0]
 	var hashes []uint64
 	for {
-		b, ok, err := j.bleft.NextBatch()
+		b, ok, err := j.left.NextBatch()
 		if err != nil {
 			return err
 		}
@@ -172,7 +167,7 @@ func (j *HashJoin) buildParallel() error {
 		parts[w] = make([]buildPart, numParts)
 	}
 	hashBufs := make([][]uint64, j.dop)
-	err := runMorsels(j.bleft, j.dop, func(w int, b *tuple.Batch) error {
+	err := runMorsels(j.left, j.dop, func(w int, b *tuple.Batch) error {
 		hashBufs[w] = b.HashColumns(j.leftKeys, hashBufs[w])
 		rows := b.Rows()
 		mine := parts[w]
@@ -243,7 +238,7 @@ func (j *HashJoin) loadProbeRow(i int) {
 	j.matchIdx = 0
 }
 
-// NextBatch implements BatchIterator: emits up to a batch of joined rows.
+// NextBatch implements Iterator: emits up to a batch of joined rows.
 func (j *HashJoin) NextBatch() (*tuple.Batch, bool, error) {
 	if j.ostats != nil {
 		return timedBatch(j.ostats, j.nextBatch)
@@ -280,7 +275,7 @@ func (j *HashJoin) nextBatch() (*tuple.Batch, bool, error) {
 				j.probeIdx = j.probeBatch.Len()
 			}
 		}
-		b, ok, err := j.bright.NextBatch()
+		b, ok, err := j.right.NextBatch()
 		if err != nil {
 			return nil, false, err
 		}
@@ -307,7 +302,7 @@ func (j *HashJoin) nextBatchParallel() (*tuple.Batch, bool, error) {
 			j.parQueue = j.parQueue[1:]
 			return b, true, nil
 		}
-		b, ok, err := j.bright.NextBatch()
+		b, ok, err := j.right.NextBatch()
 		if err != nil {
 			return nil, false, err
 		}
@@ -390,9 +385,6 @@ func (j *HashJoin) probeRange(b *tuple.Batch, start, end int, out *tuple.Batch) 
 	}
 }
 
-// Next implements Iterator.
-func (j *HashJoin) Next() (tuple.Row, bool, error) { return j.cur.next(j) }
-
 // Close implements Iterator.
 func (j *HashJoin) Close() error {
 	j.table = nil
@@ -400,28 +392,5 @@ func (j *HashJoin) Close() error {
 	j.partRows, j.partTables = nil, nil
 	j.probeBatch, j.matches = nil, nil
 	j.parOut, j.parQueue = nil, nil
-	return j.bright.Close()
-}
-
-// BuildJoinTree chains binary hash joins left-deep over the inputs:
-// ((in[0] ⋈ in[1]) ⋈ in[2]) ⋈ ... with each join's keys named by the
-// caller. Used by the workload query plans.
-type JoinSpec struct {
-	// LeftCol is resolved against the accumulated left schema, RightCol
-	// against inputs[i+1].
-	LeftCol, RightCol string
-}
-
-// BuildJoinTree constructs the left-deep tree; len(specs) must be
-// len(inputs)-1.
-func BuildJoinTree(inputs []Iterator, specs []JoinSpec) (Iterator, error) {
-	if len(inputs) < 2 || len(specs) != len(inputs)-1 {
-		return nil, fmt.Errorf("engine: join tree needs n inputs and n-1 specs, got %d/%d", len(inputs), len(specs))
-	}
-	cur := inputs[0]
-	for i, spec := range specs {
-		right := inputs[i+1]
-		cur = JoinOn(cur, right, [][2]string{{spec.LeftCol, spec.RightCol}})
-	}
-	return cur, nil
+	return j.right.Close()
 }

@@ -27,61 +27,27 @@ type parallelizable interface {
 // Parallelize sets the degree of parallelism on every operator of the
 // plan rooted at it that supports parallel execution (HashJoin, HashAgg)
 // and returns the root for chaining. dop <= 1 selects the serial path —
-// the zero value is always safe. The walk descends through the adapter
-// wrappers and every operator's children, so one call covers a whole
-// plan.
+// the zero value is always safe. The walk descends through every
+// operator's inputs, so one call covers a whole plan.
 func Parallelize(it Iterator, dop int) Iterator {
-	var walk func(n any)
-	walk = func(n any) {
-		switch v := n.(type) {
-		case *RowAdapter:
-			walk(v.B)
-			return
-		case *BatchAdapter:
-			walk(v.It)
-			return
-		}
-		if p, ok := n.(parallelizable); ok {
+	walkPlan(it, func(op Iterator, _ int) {
+		if p, ok := op.(parallelizable); ok {
 			p.setParallelism(dop)
 		}
-		if e, ok := n.(explainable); ok {
-			_, children := e.explain()
-			for _, c := range children {
-				walk(c)
-			}
-		}
-	}
-	walk(it)
+	})
 	return it
 }
 
-// SeqScans returns every SeqScan leaf of the plan rooted at it, walking
-// through the adapter wrappers and every operator's children (the same
-// traversal as Parallelize). Callers use it to read per-scan counters —
-// e.g. SegmentsSkipped — after a plan has been drained.
+// SeqScans returns every SeqScan leaf of the plan rooted at it. Callers
+// use it to read per-scan counters — e.g. SegmentsSkipped — after a plan
+// has been drained.
 func SeqScans(it Iterator) []*SeqScan {
 	var out []*SeqScan
-	var walk func(n any)
-	walk = func(n any) {
-		switch v := n.(type) {
-		case *RowAdapter:
-			walk(v.B)
-			return
-		case *BatchAdapter:
-			walk(v.It)
-			return
-		case *SeqScan:
-			out = append(out, v)
-			return
+	walkPlan(it, func(op Iterator, _ int) {
+		if s, ok := op.(*SeqScan); ok {
+			out = append(out, s)
 		}
-		if e, ok := n.(explainable); ok {
-			_, children := e.explain()
-			for _, c := range children {
-				walk(c)
-			}
-		}
-	}
-	walk(it)
+	})
 	return out
 }
 
@@ -103,7 +69,7 @@ func normDOP(dop int) int {
 // worker is called from dop goroutines, with w in [0, dop) identifying
 // the worker, so per-worker state indexed by w needs no locking. The
 // morsel is only valid for the duration of the call.
-func runMorsels(src BatchIterator, dop int, worker func(w int, morsel *tuple.Batch) error) error {
+func runMorsels(src Iterator, dop int, worker func(w int, morsel *tuple.Batch) error) error {
 	morsels := make(chan *tuple.Batch, dop)
 	free := make(chan *tuple.Batch, 2*dop+1)
 	stop := make(chan struct{})

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -19,7 +20,7 @@ var diffDOPs = []int{1, 2, 8}
 // collectAtDOP parallelizes the plan and drains it batch-at-a-time.
 func collectAtDOP(t *testing.T, plan Iterator, dop int) []tuple.Row {
 	t.Helper()
-	rows, err := CollectBatches(AsBatch(Parallelize(plan, dop)))
+	rows, err := Collect(Parallelize(plan, dop))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +45,8 @@ func intFloatTable(t *testing.T, rng *rand.Rand, name string, n, perSeg int) []*
 	return segment.Split(0, name, rows, perSeg, 1e9)
 }
 
-// TestParallelVsSerialPipelines: the scan→filter→join→agg→sort pipeline
-// of the row/batch property suite must produce identical rows (in
+// TestParallelVsSerialPipelines: a scan→filter→join→agg→sort pipeline
+// over random multi-segment tables must produce identical rows (in
 // identical order — the Sort pins it) at DOP 1, 2 and 8.
 func TestParallelVsSerialPipelines(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
@@ -227,21 +228,59 @@ func TestParallelEmptyInputs(t *testing.T) {
 	}
 }
 
-// TestParallelizeWalksPlan: one Parallelize call at the root must reach
-// joins and aggregations below other operators and through the adapter
-// wrappers, and dop<=1 must normalize to the serial path.
+// TestParallelizeWalksPlan: one plan holding every operator kind. A
+// single walk from the root must reach every operator — Parallelize the
+// HashJoin and HashAgg (with dop<=1 normalized to the serial path),
+// SeqScans both scans, EnableAnalyze every operator — and Explain of an
+// unarmed plan must render exactly like ExplainAnalyze of it.
 func TestParallelizeWalksPlan(t *testing.T) {
-	rows, sch := benchRowsN(10)
-	join := JoinOn(NewValues(sch, rows), NewValues(sch, rows), [][2]string{{"k", "k"}})
-	agg := NewHashAgg(NewFilter(join, expr.ColGE(sch, "k", tuple.Int(0))), nil,
+	lt, store := buildTable(t, "l", kvRows(40), 10)
+	rt, rstore := buildTable(t, "r", kvRows(20), 10)
+	for id, sg := range rstore {
+		store[id] = sg
+	}
+	ctx := NewTestCtx(store)
+	scanL := NewFilter(NewSeqScan(ctx, lt), expr.ColGE(lt.Schema, "k", tuple.Int(0)))
+	join := JoinOn(scanL, NewSeqScan(ctx, rt), [][2]string{{"k", "k"}})
+	agg := NewHashAgg(join,
+		[]GroupCol{{Name: "k", Kind: tuple.KindInt64, E: expr.Bind(join.Schema(), "k")}},
 		[]AggSpec{{Kind: AggCount, Name: "n"}})
-	root := &RowAdapter{B: agg}
-	Parallelize(root, 8)
-	if agg.dop != 8 || join.dop != 8 {
+	sorted := NewSort(agg, []SortKey{{E: expr.NewCol(0, "k"), Desc: true}})
+	proj := NewProject(sorted, []ProjectCol{{Name: "k", Kind: tuple.KindInt64, E: expr.NewCol(0, "k")}})
+	values := NewValues(proj.Schema(), []tuple.Row{{tuple.Int(1)}})
+	root := NewLimit(NewDistinct(JoinOn(proj, values, [][2]string{{"k", "k"}})), 5)
+
+	Parallelize(root, 4)
+	if agg.dop != 4 || join.dop != 4 {
 		t.Fatalf("Parallelize did not reach nested operators: agg=%d join=%d", agg.dop, join.dop)
 	}
 	Parallelize(root, 0)
 	if agg.dop != 1 || join.dop != 1 {
 		t.Fatalf("dop 0 should normalize to serial, got agg=%d join=%d", agg.dop, join.dop)
+	}
+	if n := len(SeqScans(root)); n != 2 {
+		t.Fatalf("SeqScans found %d scans, want 2", n)
+	}
+
+	if got, want := ExplainAnalyze(root), Explain(root); got != want {
+		t.Fatalf("unarmed ExplainAnalyze differs from Explain:\n%s\nvs\n%s", got, want)
+	}
+
+	EnableAnalyze(root)
+	rows, err := Collect(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0][0].I != 1 {
+		t.Fatalf("plan produced %v, want the single k=1 row", rows)
+	}
+	lines := strings.Split(strings.TrimSuffix(ExplainAnalyze(root), "\n"), "\n")
+	if len(lines) != 11 {
+		t.Fatalf("ExplainAnalyze rendered %d operators, want 11:\n%s", len(lines), strings.Join(lines, "\n"))
+	}
+	for _, line := range lines {
+		if !strings.Contains(line, "(rows=") {
+			t.Fatalf("operator not armed by EnableAnalyze: %q", line)
+		}
 	}
 }

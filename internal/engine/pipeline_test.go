@@ -16,15 +16,14 @@ func (p fakePruner) Predicate() string    { return "fake" }
 
 // TestSeqScanPipelinedIdentical is the scan-level differential: the
 // pipelined scan (decode pool + read-ahead) must produce byte-identical
-// rows to the serial scan, on both the row and batch protocols, with and
-// without pruning and projection. Run under -race this also exercises
+// rows to the serial scan, with and without pruning and projection. Run under -race this also exercises
 // the pool's buffer ownership.
 func TestSeqScanPipelinedIdentical(t *testing.T) {
 	tm, store := lazyTable(t, lazyRows(40), 4)
 	pool := NewDecodePool(4)
 	defer pool.Close()
 
-	run := func(pipe *Pipeline, project []int, prune bool, batch bool) ([]tuple.Row, ScanBytes, PipeStats) {
+	run := func(pipe *Pipeline, project []int, prune bool) ([]tuple.Row, ScanBytes, PipeStats) {
 		ctx := NewTestCtx(store)
 		ctx.Pipe = pipe
 		scan := NewSeqScan(ctx, tm)
@@ -32,13 +31,7 @@ func TestSeqScanPipelinedIdentical(t *testing.T) {
 		if prune {
 			scan.Pruner = fakePruner{false, true, false, true} // skip segments 1 and 3
 		}
-		var rows []tuple.Row
-		var err error
-		if batch {
-			rows, err = CollectBatches(scan)
-		} else {
-			rows, err = Collect(scan)
-		}
+		rows, err := Collect(scan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,25 +40,23 @@ func TestSeqScanPipelinedIdentical(t *testing.T) {
 
 	for _, project := range [][]int{nil, {0}} {
 		for _, prune := range []bool{false, true} {
-			for _, batch := range []bool{false, true} {
-				want, wantBytes, basePS := run(nil, project, prune, batch)
-				got, gotBytes, ps := run(&Pipeline{Pool: pool, Depth: 3}, project, prune, batch)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("project=%v prune=%v batch=%v: pipelined rows diverge", project, prune, batch)
-				}
-				// Byte accounting is decode-volume identical (DecodeTime is
-				// real time and may differ).
-				wantBytes.DecodeTime, gotBytes.DecodeTime = 0, 0
-				if wantBytes != gotBytes {
-					t.Fatalf("project=%v prune=%v batch=%v: bytes %+v vs %+v", project, prune, batch, wantBytes, gotBytes)
-				}
-				if ps.Decodes != basePS.Decodes || ps.Decodes == 0 {
-					t.Fatalf("pipelined decodes = %d, serial %d", ps.Decodes, basePS.Decodes)
-				}
-				// Serial baseline: decode fully on the critical path.
-				if basePS.DecodeStall != basePS.DecodeBusy {
-					t.Fatalf("serial stall %v != busy %v", basePS.DecodeStall, basePS.DecodeBusy)
-				}
+			want, wantBytes, basePS := run(nil, project, prune)
+			got, gotBytes, ps := run(&Pipeline{Pool: pool, Depth: 3}, project, prune)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("project=%v prune=%v: pipelined rows diverge", project, prune)
+			}
+			// Byte accounting is decode-volume identical (DecodeTime is
+			// real time and may differ).
+			wantBytes.DecodeTime, gotBytes.DecodeTime = 0, 0
+			if wantBytes != gotBytes {
+				t.Fatalf("project=%v prune=%v: bytes %+v vs %+v", project, prune, wantBytes, gotBytes)
+			}
+			if ps.Decodes != basePS.Decodes || ps.Decodes == 0 {
+				t.Fatalf("pipelined decodes = %d, serial %d", ps.Decodes, basePS.Decodes)
+			}
+			// Serial baseline: decode fully on the critical path.
+			if basePS.DecodeStall != basePS.DecodeBusy {
+				t.Fatalf("serial stall %v != busy %v", basePS.DecodeStall, basePS.DecodeBusy)
 			}
 		}
 	}
@@ -126,8 +117,8 @@ func TestSeqScanPipelinedEarlyClose(t *testing.T) {
 	if err := scan.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := scan.Next(); err != nil || !ok {
-		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	if _, ok, err := scan.NextBatch(); err != nil || !ok {
+		t.Fatalf("first batch: ok=%v err=%v", ok, err)
 	}
 	if err := scan.Close(); err != nil {
 		t.Fatal(err)

@@ -46,8 +46,7 @@ func pruneFixture(t *testing.T) (*catalog.TableMeta, map[segment.ObjectID]*segme
 }
 
 // TestSeqScanPruning: a pruned scan must fetch (and charge) only the
-// surviving segments while the filtered row stream stays byte-identical,
-// on both the row and the batch protocol.
+// surviving segments while the filtered row stream stays byte-identical.
 func TestSeqScanPruning(t *testing.T) {
 	tm, store := pruneFixture(t)
 	pred := expr.ColBetween(tm.Schema, "k", tuple.Int(23), tuple.Int(31))
@@ -56,7 +55,7 @@ func TestSeqScanPruning(t *testing.T) {
 		t.Fatal("predicate not prunable")
 	}
 
-	run := func(prune bool, batch bool) ([]tuple.Row, int, time.Duration) {
+	run := func(prune bool) ([]tuple.Row, int, time.Duration) {
 		fetch := &countingFetcher{store: MapFetcher(store)}
 		clock := &countingClock{}
 		ctx := &Ctx{Clock: clock, Fetch: fetch, Costs: Costs{ProcessPerObject: time.Second}}
@@ -64,51 +63,27 @@ func TestSeqScanPruning(t *testing.T) {
 		if prune {
 			scan.Pruner = pruner
 		}
-		it := NewFilter(scan, pred)
-		var rows []tuple.Row
-		var err error
-		if batch {
-			rows, err = Collect(it)
-		} else {
-			// Force the row-at-a-time protocol.
-			if err := it.Open(); err != nil {
-				t.Fatal(err)
-			}
-			for {
-				row, ok, nerr := it.Next()
-				if nerr != nil {
-					err = nerr
-					break
-				}
-				if !ok {
-					break
-				}
-				rows = append(rows, row.Clone())
-			}
-			it.Close()
-		}
+		rows, err := Collect(NewFilter(scan, pred))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rows, fetch.n, clock.total
 	}
 
-	for _, batch := range []bool{false, true} {
-		plain, plainFetches, plainCost := run(false, batch)
-		pruned, prunedFetches, prunedCost := run(true, batch)
-		if !reflect.DeepEqual(plain, pruned) {
-			t.Fatalf("batch=%v: pruned rows diverge:\n%v\n%v", batch, plain, pruned)
-		}
-		if plainFetches != 5 {
-			t.Fatalf("batch=%v: unpruned scan fetched %d segments", batch, plainFetches)
-		}
-		// Keys 23..31 span exactly segments 2 and 3.
-		if prunedFetches != 2 {
-			t.Fatalf("batch=%v: pruned scan fetched %d segments, want 2", batch, prunedFetches)
-		}
-		if prunedCost >= plainCost {
-			t.Fatalf("batch=%v: pruning did not reduce processing charges (%v vs %v)", batch, prunedCost, plainCost)
-		}
+	plain, plainFetches, plainCost := run(false)
+	pruned, prunedFetches, prunedCost := run(true)
+	if !reflect.DeepEqual(plain, pruned) {
+		t.Fatalf("pruned rows diverge:\n%v\n%v", plain, pruned)
+	}
+	if plainFetches != 5 {
+		t.Fatalf("unpruned scan fetched %d segments", plainFetches)
+	}
+	// Keys 23..31 span exactly segments 2 and 3.
+	if prunedFetches != 2 {
+		t.Fatalf("pruned scan fetched %d segments, want 2", prunedFetches)
+	}
+	if prunedCost >= plainCost {
+		t.Fatalf("pruning did not reduce processing charges (%v vs %v)", prunedCost, plainCost)
 	}
 }
 

@@ -54,7 +54,7 @@ func TestShapeSmallAllocatesInProportion(t *testing.T) {
 }
 
 // batchLens drains bi and returns its batch lengths and rows.
-func batchLens(t *testing.T, bi BatchIterator) ([]int, []tuple.Row) {
+func batchLens(t *testing.T, bi Iterator) ([]int, []tuple.Row) {
 	t.Helper()
 	if err := bi.Open(); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestBatchBoundariesSurviveRightSizing(t *testing.T) {
 		tuple.Column{Name: "v", Kind: tuple.KindString},
 	)
 	src := NewValues(sch, nil)
-	plans := map[string]BatchIterator{
+	plans := map[string]Iterator{
 		"values": src,
 		"sort":   NewSort(src, []SortKey{{E: expr.Bind(sch, "k")}}),
 		"filter": NewFilter(src, expr.ColGE(sch, "k", tuple.Int(0))),

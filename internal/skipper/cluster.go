@@ -360,8 +360,8 @@ func (cl *Cluster) runSkipper(clock engine.Clock, px *proxy, c *Client, spec Que
 	if spec.Shape != nil {
 		// The MJoin result bridges into the shaping stage as batches, so
 		// post-join filters, aggregation and ORDER BY run batch-at-a-time
-		// in skipper mode too (Collect dispatches to the batch protocol),
-		// on the morsel pool when the client sets Parallelism.
+		// in skipper mode too, on the morsel pool when the client sets
+		// Parallelism.
 		shaped, err := engine.Collect(engine.Parallelize(
 			spec.Shape(engine.NewValues(res.Schema, res.Rows)), c.Parallelism))
 		if err != nil {

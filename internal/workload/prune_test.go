@@ -12,19 +12,19 @@ import (
 
 // captureIter tees the rows a cluster client's shaping stage emits, so
 // cluster-level differential tests can compare full results instead of
-// row counts. It deliberately implements only the row protocol: Collect
-// then drains it row-at-a-time through the batch-native plan below.
+// row counts. Batch rows are materialized as they pass, so the capture
+// outlives the operators' buffer reuse.
 type captureIter struct {
 	engine.Iterator
 	sink *[]tuple.Row
 }
 
-func (c *captureIter) Next() (tuple.Row, bool, error) {
-	row, ok, err := c.Iterator.Next()
+func (c *captureIter) NextBatch() (*tuple.Batch, bool, error) {
+	b, ok, err := c.Iterator.NextBatch()
 	if ok && err == nil {
-		*c.sink = append(*c.sink, row.Clone())
+		*c.sink = append(*c.sink, b.Rows()...)
 	}
-	return row, ok, err
+	return b, ok, err
 }
 
 // runPrunedCluster executes the spec on one client, capturing the result
