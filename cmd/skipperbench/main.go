@@ -36,8 +36,8 @@
 //
 // -pipeline verifies byte-identical results with the asynchronous
 // execution pipeline (scheduler-aware prefetch + concurrent decode
-// workers) on and off — across both engines, the v1/v2 wire formats,
-// DOP {1,4} and pruning on/off — then reports both clocks for each
+// workers) on and off — across both engines, the mem/v1/v2 formats,
+// DOP {1,4}, pruning on/off and over the shared cache — then reports both clocks for each
 // engine with the pipeline off and on: simulated makespan (prefetch
 // discloses future demand to the device scheduler) and host wall-clock
 // time with the decode busy/stall/hidden breakdown (decode workers
@@ -47,8 +47,8 @@
 // -faults runs the fault-injection report: first the chaos gate —
 // a retryable-only fault plan (transient failures, stalls, corrupt
 // payloads, per-object cap) must leave results byte-identical to the
-// clean run across both engines, the v1/v2 formats, DOP {1,4} and the
-// pipeline off/on, with GET conservation extended to retries — then a
+// clean run across both engines, the mem/v1/v2 formats, DOP {1,4} and
+// the pipeline off/on, with GET conservation extended to retries — then a
 // fault-rate sweep plus a crash/restart scenario reporting the measured
 // degradation (makespan, extra device GETs, retries, backoff). Exits
 // non-zero on any divergence — the CI gate for the fault layer.
@@ -56,12 +56,15 @@
 // -scale runs the scale-out report: first the fleet gate — the
 // repeated-query workload must produce byte-identical results on 1, 2
 // and 4 devices with and without replication (hot/full) across both
-// engines, the v1/v2 formats and DOP {1,4}, with GET conservation held
-// per device — then measures the makespan at each fleet size and under
+// engines, the mem/v1/v2 formats and DOP {1,4}, with GET conservation
+// held per device — then measures the makespan at each fleet size and under
 // a device-0 crash, with hot replication required to fail over (zero
 // failed queries when the device never restarts) and to degrade
 // strictly less than the unreplicated fleet. Exits non-zero on any
 // divergence — the CI gate for the fleet layer.
+//
+// All four gates are rows of one table (experiments.GateTable); every
+// run they make must also pass skipper.RunResult.Check.
 //
 // -format selects the wire format the CSD store serves for figure runs:
 // mem (in-memory segments, no decode work — the default), v1, or v2.
@@ -126,87 +129,36 @@ func main() {
 	}
 	p.Format = wireFmt
 
-	if *prune {
-		f, err := p.PruneReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipperbench: prune report: %v\n", err)
-			os.Exit(1)
-		}
+	emit := func(f *experiments.Figure) {
 		if *outFmt == "csv" {
 			fmt.Printf("# %s: %s\n%s\n", f.ID, f.Title, f.CSV())
 		} else {
 			fmt.Println(f)
 		}
-		return
 	}
-
-	if *proj {
-		f, err := p.ProjectionReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipperbench: projection report: %v\n", err)
-			os.Exit(1)
-		}
-		if *outFmt == "csv" {
-			fmt.Printf("# %s: %s\n%s\n", f.ID, f.Title, f.CSV())
-		} else {
-			fmt.Println(f)
-		}
-		return
+	// The reports double as CI gates: each fails on any result divergence.
+	reports := []struct {
+		on   bool
+		name string
+		run  func() (*experiments.Figure, error)
+	}{
+		{*prune, "prune report", p.PruneReport},
+		{*proj, "projection report", p.ProjectionReport},
+		{*cacheSweep, "cache report", p.CacheReport},
+		{*pipeline, "pipeline report", p.PipelineReport},
+		{*faultsReport, "fault report", p.FaultReport},
+		{*scaleReport, "scale report", p.ScaleReport},
 	}
-
-	if *cacheSweep {
-		f, err := p.CacheReport()
+	for _, r := range reports {
+		if !r.on {
+			continue
+		}
+		f, err := r.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipperbench: cache report: %v\n", err)
+			fmt.Fprintf(os.Stderr, "skipperbench: %s: %v\n", r.name, err)
 			os.Exit(1)
 		}
-		if *outFmt == "csv" {
-			fmt.Printf("# %s: %s\n%s\n", f.ID, f.Title, f.CSV())
-		} else {
-			fmt.Println(f)
-		}
-		return
-	}
-
-	if *pipeline {
-		f, err := p.PipelineReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipperbench: pipeline report: %v\n", err)
-			os.Exit(1)
-		}
-		if *outFmt == "csv" {
-			fmt.Printf("# %s: %s\n%s\n", f.ID, f.Title, f.CSV())
-		} else {
-			fmt.Println(f)
-		}
-		return
-	}
-
-	if *faultsReport {
-		f, err := p.FaultReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipperbench: fault report: %v\n", err)
-			os.Exit(1)
-		}
-		if *outFmt == "csv" {
-			fmt.Printf("# %s: %s\n%s\n", f.ID, f.Title, f.CSV())
-		} else {
-			fmt.Println(f)
-		}
-		return
-	}
-
-	if *scaleReport {
-		f, err := p.ScaleReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipperbench: scale report: %v\n", err)
-			os.Exit(1)
-		}
-		if *outFmt == "csv" {
-			fmt.Printf("# %s: %s\n%s\n", f.ID, f.Title, f.CSV())
-		} else {
-			fmt.Println(f)
-		}
+		emit(f)
 		return
 	}
 
@@ -252,11 +204,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "skipperbench: %s: %v\n", e.id, err)
 			os.Exit(1)
 		}
-		if *outFmt == "csv" {
-			fmt.Printf("# %s: %s\n%s\n", f.ID, f.Title, f.CSV())
-		} else {
-			fmt.Println(f)
-		}
+		emit(f)
 	}
 	if !matched {
 		fmt.Fprintf(os.Stderr, "skipperbench: no figure matched %q\n", *figArg)

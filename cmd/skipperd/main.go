@@ -40,15 +40,10 @@ import (
 
 	"context"
 
-	"repro/internal/faults"
-	"repro/internal/layout"
+	"repro/internal/cliconfig"
 	"repro/internal/metrics"
-	"repro/internal/objstore"
-	"repro/internal/segment"
 	"repro/internal/server"
-	"repro/internal/skipper"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -57,38 +52,11 @@ func main() {
 	loadgen := flag.Bool("loadgen", false, "drive closed-loop load against a daemon and report latency percentiles")
 	addr := flag.String("addr", "127.0.0.1:7878", "listen (serve) or connect (client/loadgen) address")
 
-	// Dataset flags (serve mode) — same shape as skipperql.
-	wl := flag.String("workload", "tpch", "dataset: tpch, ssb, mrbench, nref")
-	sf := flag.Int("sf", 10, "scale factor / footprint in GB")
-	rows := flag.Int("rows", 20, "tuples per 1 GB object")
-	clustered := flag.Bool("clustered", false, "sort the TPC-H date columns before segmenting (makes date predicates prunable)")
-	segFormat := flag.String("format", "v2", "segment wire format the store serves: mem, v1 or v2")
-
-	// Engine flags (serve mode).
-	engineName := flag.String("engine", "skipper", "execution engine: skipper or vanilla")
-	cache := flag.Int("cache", 10, "MJoin cache size in objects (skipper engine)")
-	segCache := flag.Int("segcache", 8, "per-tenant segment cache budget in objects (0 = off); persists across a tenant's connections")
-	prune := flag.Bool("prune", true, "enable zone-map/Bloom data skipping of segment requests")
-	pipeline := flag.Bool("pipeline", false, "enable the async execution pipeline: scheduler-aware prefetch plus concurrent decode workers")
-	prefetchGB := flag.Int("prefetch", 4, "prefetch budget in 1 GB objects ahead of demand (with -pipeline)")
-	decodeWorkers := flag.Int("decode-workers", 2, "background decode workers (with -pipeline)")
-	devices := flag.Int("devices", 1, "CSD fleet size every query runs against: disk groups spread across this many devices")
-	replication := flag.String("replication", "none", "object replication across the fleet: none, full, hot or hot:N (with -devices > 1)")
-
-	// Fault-injection flags (serve mode): a deterministic chaos schedule
-	// applied to every query's device run — the serving twin of
-	// `skipperbench -faults`. Rates of zero (the defaults) disable
-	// injection entirely.
-	faultTransient := flag.Float64("fault-transient", 0, "probability a device transfer fails transiently and is retried, in [0,1]")
-	faultCorrupt := flag.Float64("fault-corrupt", 0, "probability a transfer delivers a corrupt payload — caught by checksum, quarantined and re-requested — in [0,1]")
-	faultStall := flag.Float64("fault-stall", 0, "probability a transfer stalls for -fault-stall-dur extra simulated time, in [0,1]")
-	faultStallDur := flag.Duration("fault-stall-dur", 3*time.Second, "extra simulated latency of a stalled transfer")
-	faultCap := flag.Int("fault-cap", 3, "max transient+corrupt faults charged per object (negative = unlimited; retries may exhaust)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed of the deterministic fault schedule")
-	crashAt := flag.Duration("crash-at", 0, "crash the device this far into each query's simulated run (0 = never)")
-	crashDowntime := flag.Duration("crash-downtime", 0, "restart the device this long after -crash-at (0 with -crash-at set = permanent crash)")
-	retryAttempts := flag.Int("retry-attempts", 0, "max transfer attempts per object before the query fails (0 = default 12)")
-	retryBackoff := flag.Duration("retry-backoff", 0, "base retry backoff, doubling per attempt up to 8s with deterministic jitter (0 = default 250ms)")
+	// Dataset, engine, pipeline, fleet, fault and retry flags (serve
+	// mode) — shared with skipperql. Faults are a deterministic chaos
+	// schedule applied to every query's device run, the serving twin of
+	// `skipperbench -faults`.
+	shared := cliconfig.Bind(flag.CommandLine, cliconfig.Options{SegCache: 8})
 
 	// Serving flags.
 	inflight := flag.Int("inflight", 4, "queries executing concurrently, across all tenants")
@@ -111,9 +79,9 @@ func main() {
 	duration := flag.Duration("duration", 5*time.Second, "loadgen run length")
 
 	flag.Parse()
-	mode, err := skipper.ParseMode(*engineName)
+	sc, err := shared.Config()
 	if err != nil {
-		fatalf("-engine: %v", err)
+		fatalf("%v", err)
 	}
 
 	switch {
@@ -126,48 +94,21 @@ func main() {
 	}
 
 	// Serve mode.
-	var ds *workload.Dataset
-	switch *wl {
-	case "tpch":
-		ds = workload.TPCH(0, workload.TPCHConfig{SF: *sf, RowsPerObject: *rows, Seed: 1, ClusteredDates: *clustered})
-	case "ssb":
-		ds = workload.SSB(0, workload.SSBConfig{SF: *sf, RowsPerObject: *rows, Seed: 1})
-	case "mrbench":
-		ds = workload.MRBench(0, workload.MRBenchConfig{TotalGB: *sf, RowsPerObject: *rows, Seed: 1})
-	case "nref":
-		ds = workload.NREF(0, workload.NREFConfig{TotalGB: *sf, RowsPerObject: *rows, Seed: 1})
-	default:
-		fatalf("unknown workload %q", *wl)
-	}
-	wireFmt, err := segment.ParseFormat(*segFormat)
+	ds, err := sc.Dataset()
 	if err != nil {
-		fatalf("%v", err)
-	}
-	ds, err = objstore.ReencodeDataset(ds, wireFmt)
-	if err != nil {
-		fatalf("encode dataset: %v", err)
-	}
-
-	var pc *skipper.PipelineConfig
-	if *pipeline {
-		pc = &skipper.PipelineConfig{PrefetchBytes: int64(*prefetchGB) * 1e9, DecodeWorkers: *decodeWorkers}
-	}
-	if *devices < 1 {
-		fatalf("-devices %d < 1", *devices)
-	}
-	rep, err := layout.ParseReplication(*replication)
-	if err != nil {
-		fatalf("%v", err)
+		fatalf("dataset: %v", err)
 	}
 	cfg := server.Config{
 		Dataset:         ds,
-		Mode:            mode,
-		CacheObjects:    *cache,
-		SegCacheObjects: *segCache,
-		Prune:           *prune,
-		Pipeline:        pc,
-		Devices:         *devices,
-		Replication:     rep,
+		Mode:            sc.Mode,
+		CacheObjects:    sc.Cache,
+		SegCacheObjects: sc.SegCache,
+		Prune:           sc.Prune,
+		Pipeline:        sc.Pipeline,
+		Devices:         sc.Devices,
+		Replication:     sc.Replication,
+		Faults:          sc.Faults,
+		Retry:           sc.Retry,
 		MaxTenants:      *maxTenants,
 		Admission: server.AdmissionConfig{
 			Slots:       *inflight,
@@ -178,29 +119,6 @@ func main() {
 		MaxLineBytes:    *maxLine,
 		Tracing:         *traceAll,
 		SlowQuery:       *slowQuery,
-	}
-	plan := faults.Plan{
-		Seed:               *faultSeed,
-		TransientRate:      *faultTransient,
-		StallRate:          *faultStall,
-		Stall:              *faultStallDur,
-		CorruptRate:        *faultCorrupt,
-		MaxFaultsPerObject: *faultCap,
-		CrashAt:            *crashAt,
-		CrashDowntime:      *crashDowntime,
-	}
-	if plan.Enabled() {
-		cfg.Faults = &plan
-	}
-	if *retryAttempts > 0 || *retryBackoff > 0 {
-		rp := skipper.DefaultRetryPolicy()
-		if *retryAttempts > 0 {
-			rp.MaxAttempts = *retryAttempts
-		}
-		if *retryBackoff > 0 {
-			rp.BaseBackoff = *retryBackoff
-		}
-		cfg.Retry = rp
 	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
@@ -218,13 +136,13 @@ func main() {
 	}
 	adm := s.Admission().Config()
 	fmt.Printf("skipperd: serving %s dataset (%d objects, format=%s, engine=%s) on %s\n",
-		*wl, len(ds.Catalog.AllObjects()), wireFmt, mode, bound)
+		sc.Workload, len(ds.Catalog.AllObjects()), sc.Format, sc.Mode, bound)
 	fmt.Printf("skipperd: admission %d in flight (%d per tenant), queue depth %d, tenants [0,%d)\n",
 		adm.Slots, adm.TenantSlots, adm.QueueDepth, *maxTenants)
-	if *devices > 1 {
-		fmt.Printf("skipperd: device fleet of %d, replication %s\n", *devices, rep)
+	if sc.Devices > 1 {
+		fmt.Printf("skipperd: device fleet of %d, replication %s\n", sc.Devices, sc.Replication)
 	}
-	if cfg.Faults != nil {
+	if plan := sc.Faults; plan != nil {
 		fmt.Printf("skipperd: fault injection on (seed %d): transient %.2f, stall %.2f×%s, corrupt %.2f, cap %d, crash %s+%s\n",
 			plan.Seed, plan.TransientRate, plan.StallRate, plan.Stall, plan.CorruptRate,
 			plan.MaxFaultsPerObject, plan.CrashAt, plan.CrashDowntime)

@@ -100,8 +100,13 @@ type Stats struct {
 	// one arrived while the earlier one's transfer was already in
 	// flight: N same-object requests cost one transfer (one BytesServed
 	// charge) and N deliveries, N-1 of them coalesced.
-	GetsCoalesced   int
-	GetsByTenant    map[int]int
+	GetsCoalesced int
+	GetsByTenant  map[int]int
+	// RefusedByTenant counts, per tenant, the requests a crashed device
+	// refused without receiving them (they are not in GetsReceived or
+	// GetsByTenant). Nil until the first refusal, so a run without a
+	// crash window allocates nothing for it.
+	RefusedByTenant map[int]int
 	ServedByQuery   map[string]int
 	SwitchIntervals []Interval // when the device was mid-switch
 	// GetsAvoided counts segment requests that were never issued because
@@ -148,6 +153,7 @@ func (s Stats) Plus(o Stats) Stats {
 	out.Restarts += o.Restarts
 	out.DownErrors += o.DownErrors
 	out.GetsByTenant = mergeCounts(s.GetsByTenant, o.GetsByTenant)
+	out.RefusedByTenant = mergeCounts(s.RefusedByTenant, o.RefusedByTenant)
 	out.ServedByQuery = mergeCounts(s.ServedByQuery, o.ServedByQuery)
 	if len(o.SwitchIntervals) > 0 {
 		merged := make([]Interval, 0, len(s.SwitchIntervals)+len(o.SwitchIntervals))
@@ -521,6 +527,10 @@ func (c *CSD) apply(p *vtime.Proc, ev event) bool {
 			// Crashed device: refuse rather than queue, so clients see the
 			// window and back off instead of waiting on a dead box.
 			c.stats.DownErrors++
+			if c.stats.RefusedByTenant == nil {
+				c.stats.RefusedByTenant = make(map[int]int)
+			}
+			c.stats.RefusedByTenant[r.Tenant]++
 			r.Reply.Send(p, Delivery{Object: r.Object, Device: c.cfg.ID, Err: &DeviceDownError{Object: r.Object, Restarting: c.willRestart()}})
 			return false
 		}

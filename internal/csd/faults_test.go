@@ -277,6 +277,15 @@ func TestCrashAndRestart(t *testing.T) {
 	if st.Crashes != 1 || st.Restarts != 1 || st.DownErrors != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
+	// The in-flight request was received before the crash; only the one
+	// submitted inside the window was refused. Received + refused is what
+	// the client submitted.
+	if st.GetsByTenant[0] != 2 || st.RefusedByTenant[0] != 1 {
+		t.Fatalf("received %v, refused %v; want 2 and 1", st.GetsByTenant, st.RefusedByTenant)
+	}
+	if sum := st.Plus(st); sum.RefusedByTenant[0] != 2 {
+		t.Fatalf("Plus folded refusals to %v, want 2", sum.RefusedByTenant)
+	}
 }
 
 // A permanent crash (no downtime) marks its errors non-restarting, so

@@ -4,33 +4,15 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/csd"
-	"repro/internal/layout"
 	"repro/internal/metrics"
-	"repro/internal/objstore"
-	"repro/internal/segcache"
-	"repro/internal/segment"
 	"repro/internal/skipper"
-	"repro/internal/workload"
 )
 
 // This file is the evaluation of the shared segment cache and CSD
-// request coalescing: a budget sweep over a repeated-query multi-tenant
-// workload behind `skipperbench -cache`, which doubles as the CI
-// divergence gate — every configuration is executed with the cache on
-// and off, across both engines, segment formats, DOP and pruning, and
-// the result sets must match byte for byte.
-
-// cacheSweepClients and cacheSweepPasses shape the repeated-query
-// multi-tenant workload: every client runs cacheSweepPasses rounds of
-// the probe pair (workload.MultiPass) over one shared dataset, so both
-// intra-tenant reuse (later passes) and cross-tenant reuse (other
-// clients' fetches) are on the table.
-const (
-	cacheSweepClients = 3
-	cacheSweepPasses  = 2
-	cacheSweepGroups  = 4
-)
+// request coalescing: a budget sweep over the repeated-query
+// multi-tenant workload (scenario.go) behind `skipperbench -cache`,
+// which first runs the gate table's cache rows as the CI divergence
+// gate.
 
 // CachePoint is one budget of the shared-cache sweep.
 type CachePoint struct {
@@ -54,134 +36,16 @@ type CachePoint struct {
 	AvgClient time.Duration
 }
 
-// runCacheCluster executes the repeated-query workload on a cluster of
-// clients sharing one dataset — and, when budgetObjects > 0, one segment
-// cache. The object layout is round-robin across groups, the adversarial
-// no-locality placement, so group switches are actually at stake.
-func (p Params) runCacheCluster(ds *workload.Dataset, mode skipper.Mode, dop int, prune bool, budgetObjects int, keep bool) (*skipper.RunResult, error) {
-	store := make(mapStore)
-	ds.MergeInto(store)
-	pr := prune
-	clients := make([]*skipper.Client, cacheSweepClients)
-	for t := range clients {
-		clients[t] = &skipper.Client{
-			Tenant:       t,
-			Mode:         mode,
-			Catalog:      ds.Catalog,
-			Queries:      workload.MultiPass(ds.Catalog, cacheSweepPasses),
-			CacheObjects: p.CacheObjects,
-			StatsPruning: &pr,
-			Parallelism:  dop,
-			KeepResults:  keep,
-		}
-	}
-	cfg := csd.DefaultConfig()
-	cfg.GroupSwitch = p.GroupSwitch
-	cfg.Bandwidth = p.Bandwidth
-	cl := &skipper.Cluster{
-		Clients: clients,
-		Layout:  layout.RoundRobinObjects{NumGroups: cacheSweepGroups},
-		CSD:     cfg,
-		Store:   store,
-	}
-	if budgetObjects > 0 {
-		cl.SharedCache = segcache.NewObjects(budgetObjects)
-	}
-	return cl.Run()
-}
-
-// compareRunResults requires two cluster runs to have byte-identical
-// per-query results for every client.
-func compareRunResults(a, b *skipper.RunResult) error {
-	if len(a.Clients) != len(b.Clients) {
-		return fmt.Errorf("%d clients vs %d", len(a.Clients), len(b.Clients))
-	}
-	for i := range a.Clients {
-		qa, qb := a.Clients[i].PerQuery, b.Clients[i].PerQuery
-		if len(qa) != len(qb) {
-			return fmt.Errorf("client %d: %d queries vs %d", i, len(qa), len(qb))
-		}
-		for j := range qa {
-			if err := equalRows(qa[j].Results, qb[j].Results); err != nil {
-				return fmt.Errorf("client %d query %s: %w", i, qa[j].Name, err)
-			}
-		}
-	}
-	return nil
-}
-
-// checkCacheAccounting enforces the traffic invariant of a cache-on run:
-// per client, the GETs the device saw plus the cache hits equal the GETs
-// the client issued — and in skipper mode the MJoin request count (the
-// quantity Figure 11 plots) equals that same total, so no request is
-// double-counted or lost between the state manager, the cache and the
-// device.
-func checkCacheAccounting(res *skipper.RunResult) error {
-	for _, cs := range res.Clients {
-		device := res.CSD.GetsByTenant[cs.Tenant]
-		if device+cs.CacheHits != cs.GetsIssued {
-			return fmt.Errorf("tenant %d: device GETs %d + cache hits %d != issued %d",
-				cs.Tenant, device, cs.CacheHits, cs.GetsIssued)
-		}
-		if cs.Mode == skipper.ModeSkipper && cs.MJoin.Requests != cs.GetsIssued {
-			return fmt.Errorf("tenant %d: mjoin requests %d != issued %d",
-				cs.Tenant, cs.MJoin.Requests, cs.GetsIssued)
-		}
-	}
-	return nil
-}
-
-// VerifyCacheIdentical is the divergence gate: for every combination of
-// engine mode, DOP {1,4} and pruning on/off over the given dataset, the
-// repeated-query workload must produce byte-identical results with the
-// shared cache on (budget = the dataset's full footprint) and off, and
-// the cache-on run must satisfy the GET accounting invariant.
-func (p Params) VerifyCacheIdentical(ds *workload.Dataset) error {
-	budget := len(ds.Catalog.AllObjects())
-	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
-		for _, dop := range []int{1, 4} {
-			for _, prune := range []bool{true, false} {
-				tag := fmt.Sprintf("%s dop=%d prune=%v", mode, dop, prune)
-				on, err := p.runCacheCluster(ds, mode, dop, prune, budget, true)
-				if err != nil {
-					return fmt.Errorf("%s cache on: %w", tag, err)
-				}
-				off, err := p.runCacheCluster(ds, mode, dop, prune, 0, true)
-				if err != nil {
-					return fmt.Errorf("%s cache off: %w", tag, err)
-				}
-				if err := compareRunResults(on, off); err != nil {
-					return fmt.Errorf("%s: cache on/off results diverge: %w", tag, err)
-				}
-				if err := checkCacheAccounting(on); err != nil {
-					return fmt.Errorf("%s: %w", tag, err)
-				}
-				if on.Cache == nil || on.Cache.Hits == 0 {
-					return fmt.Errorf("%s: repeated-query workload produced no cache hits", tag)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // CacheSweepData verifies the divergence gate across every segment
 // format, then sweeps the shared-cache budget on the Params' format and
 // returns one point per budget (0 = off). It fails — rather than report
 // — on any cache-on/off divergence, which is what lets CI use
 // `skipperbench -cache` as a correctness gate.
 func (p Params) CacheSweepData() ([]CachePoint, error) {
-	base := p.clusteredDataset()
-	for _, f := range []segment.Format{segment.FormatMem, segment.FormatV1, segment.FormatV2} {
-		ds, err := objstore.ReencodeDataset(base, f)
-		if err != nil {
-			return nil, fmt.Errorf("format %v: %w", f, err)
-		}
-		if err := p.VerifyCacheIdentical(ds); err != nil {
-			return nil, fmt.Errorf("format %v: %w", f, err)
-		}
+	if err := p.verifyGate("cache"); err != nil {
+		return nil, err
 	}
-	ds, err := p.encoded(base)
+	ds, err := p.encoded(p.clusteredDataset())
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +58,7 @@ func (p Params) CacheSweepData() ([]CachePoint, error) {
 	}
 	var out []CachePoint
 	for _, b := range budgets {
-		res, err := p.runCacheCluster(ds, skipper.ModeSkipper, p.Parallelism, true, b, false)
+		res, _, err := p.runScenario(ds, Scenario{Mode: skipper.ModeSkipper, DOP: p.Parallelism, Prune: true, SharedCache: b})
 		if err != nil {
 			return nil, fmt.Errorf("budget %d: %w", b, err)
 		}
@@ -223,14 +87,14 @@ func (p Params) CacheReport() (*Figure, error) {
 	}
 	f := &Figure{
 		ID:    "Cache sweep",
-		Title: fmt.Sprintf("Shared segment cache budget sweep (%d tenants × %d passes of the probe pair, one shared dataset, round-robin layout, skipper engine)", cacheSweepClients, cacheSweepPasses),
+		Title: fmt.Sprintf("Shared segment cache budget sweep (%d tenants × %d passes of the probe pair, one shared dataset, round-robin layout, skipper engine)", scenarioClients, scenarioPasses),
 		Columns: []string{
 			"budget (objects)", "device GETs", "switches", "coalesced",
 			"cache hits", "hit ratio", "makespan (s)", "avg client (s)",
 		},
 		Notes: []string{
 			"results verified byte-identical cache on/off across engines, formats (mem/v1/v2), DOP {1,4} and pruning on/off",
-			"per client, device GETs + cache hits == GETs issued (== MJoin requests in skipper mode)",
+			"every run passes RunResult.Check: per client, device GETs received + refused == GETs issued - cache hits - prefetch served + prefetch issued",
 		},
 	}
 	for _, pt := range pts {

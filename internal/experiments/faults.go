@@ -4,26 +4,21 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/csd"
 	"repro/internal/faults"
-	"repro/internal/layout"
-	"repro/internal/objstore"
-	"repro/internal/segcache"
-	"repro/internal/segment"
 	"repro/internal/skipper"
 	"repro/internal/workload"
 )
 
 // This file is the evaluation of the fault-injection and recovery layer
-// behind `skipperbench -faults`, which doubles as the CI chaos gate:
-// a retryable-only fault plan (transient GET failures, latency stalls,
-// bit-flipped payloads, all capped per object) must leave every query
-// result byte-identical to the clean run — across both engines, DOP
-// {1,4} and the pipeline off/on — while the GET-conservation invariant
-// extends to the re-requests. The measurement half sweeps the fault
-// rate and reports the cost of surviving: extra device transfers,
-// retry backoff, and the makespan degradation, plus a crash/restart
-// row (the device dies mid-run and comes back) at the end.
+// behind `skipperbench -faults`, which first runs the gate table's fault
+// rows as the CI chaos gate: a retryable-only fault plan (transient GET
+// failures, latency stalls, bit-flipped payloads, all capped per
+// object) must leave every query result byte-identical to the clean
+// run, with GET conservation extended to the re-requests. The
+// measurement half sweeps the fault rate and reports the cost of
+// surviving: extra device transfers, retry backoff, and the makespan
+// degradation, plus a crash/restart row (the device dies mid-run and
+// comes back) at the end.
 
 // faultSweepSeed keys every sweep decision; one seed, one schedule.
 const faultSweepSeed = 99
@@ -60,92 +55,6 @@ func faultRetryPolicy() *skipper.RetryPolicy {
 	}
 }
 
-// runFaultCluster executes the repeated-query multi-tenant workload
-// (the cache sweep's shape) under the given fault plan, with a shared
-// segment cache so corrupt-delivery quarantine and redelivery cross
-// tenant boundaries. A zero plan runs the same cluster fault-free.
-func (p Params) runFaultCluster(ds *workload.Dataset, mode skipper.Mode, dop int, pc *skipper.PipelineConfig, plan faults.Plan, keep bool) (*skipper.RunResult, *faults.Injector, error) {
-	store := make(mapStore)
-	ds.MergeInto(store)
-	prune := true
-	clients := make([]*skipper.Client, cacheSweepClients)
-	for t := range clients {
-		clients[t] = &skipper.Client{
-			Tenant:       t,
-			Mode:         mode,
-			Catalog:      ds.Catalog,
-			Queries:      workload.MultiPass(ds.Catalog, cacheSweepPasses),
-			CacheObjects: p.CacheObjects,
-			StatsPruning: &prune,
-			Parallelism:  dop,
-			KeepResults:  keep,
-			Pipeline:     pc,
-			Retry:        faultRetryPolicy(),
-		}
-	}
-	cfg := csd.DefaultConfig()
-	cfg.GroupSwitch = p.GroupSwitch
-	cfg.Bandwidth = p.Bandwidth
-	var inj *faults.Injector
-	if plan.Enabled() {
-		var err error
-		inj, err = faults.New(plan)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.Faults = inj
-	}
-	cl := &skipper.Cluster{
-		Clients:     clients,
-		Layout:      layout.RoundRobinObjects{NumGroups: cacheSweepGroups},
-		CSD:         cfg,
-		Store:       store,
-		SharedCache: segcache.NewObjects(p.CacheObjects),
-	}
-	res, err := cl.Run()
-	return res, inj, err
-}
-
-// VerifyFaultsIdentical is the chaos gate: for every combination of
-// engine mode, DOP {1,4} and pipeline off/on over the given dataset,
-// the workload under a retryable-only fault plan must produce
-// byte-identical results to the fault-free run, satisfy the GET
-// accounting invariant extended to retries (every re-request is both a
-// client GET and a device GET, so the conservation equation is
-// unchanged), leave no cache pins behind, and must actually have been
-// faulted (so the gate can never pass vacuously).
-func (p Params) VerifyFaultsIdentical(ds *workload.Dataset) error {
-	plan := faultPlan(0.4)
-	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
-		for _, dop := range []int{1, 4} {
-			for _, pc := range []*skipper.PipelineConfig{nil, p.pipelineConfig()} {
-				tag := fmt.Sprintf("%s dop=%d pipeline=%v", mode, dop, pc != nil)
-				clean, _, err := p.runFaultCluster(ds, mode, dop, pc, faults.Plan{}, true)
-				if err != nil {
-					return fmt.Errorf("%s clean: %w", tag, err)
-				}
-				chaotic, inj, err := p.runFaultCluster(ds, mode, dop, pc, plan, true)
-				if err != nil {
-					return fmt.Errorf("%s faulted: %w", tag, err)
-				}
-				if err := compareRunResults(chaotic, clean); err != nil {
-					return fmt.Errorf("%s: faulted results diverge from clean: %w", tag, err)
-				}
-				if err := checkPipelineAccounting(chaotic); err != nil {
-					return fmt.Errorf("%s: %w", tag, err)
-				}
-				if inj.Stats().Injected() == 0 {
-					return fmt.Errorf("%s: plan injected nothing; gate is vacuous", tag)
-				}
-				if chaotic.Cache != nil && chaotic.Cache.PinnedBytes != 0 {
-					return fmt.Errorf("%s: %d bytes still pinned after the faulted run", tag, chaotic.Cache.PinnedBytes)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // FaultPoint is one measured configuration of the fault-rate sweep.
 type FaultPoint struct {
 	// Label names the scenario ("clean", a fault rate, or "crash").
@@ -168,11 +77,10 @@ type FaultPoint struct {
 
 // measureFaults runs one scenario and digests it into a point.
 func (p Params) measureFaults(ds *workload.Dataset, mode skipper.Mode, label string, plan faults.Plan) (FaultPoint, error) {
-	dop := p.Parallelism
-	if dop < 1 {
-		dop = 1
-	}
-	res, inj, err := p.runFaultCluster(ds, mode, dop, p.pipelineConfig(), plan, false)
+	res, cl, err := p.runScenario(ds, Scenario{
+		Mode: mode, DOP: max(p.Parallelism, 1), Prune: true, SharedCache: p.CacheObjects,
+		Pipeline: p.pipelineConfig(), Faults: plan, Retry: faultRetryPolicy(),
+	})
 	if err != nil {
 		return FaultPoint{}, err
 	}
@@ -185,7 +93,7 @@ func (p Params) measureFaults(ds *workload.Dataset, mode skipper.Mode, label str
 		Crashes:    res.CSD.Crashes,
 		Restarts:   res.CSD.Restarts,
 	}
-	if inj != nil {
+	if inj := cl.CSD.Faults; inj != nil {
 		st := inj.Stats()
 		pt.Transient, pt.Stalls, pt.Corrupt = st.Transient, st.Stalls, st.Corrupt
 	}
@@ -196,25 +104,14 @@ func (p Params) measureFaults(ds *workload.Dataset, mode skipper.Mode, label str
 	return pt, nil
 }
 
-// FaultSweepData verifies the chaos gate on the v1 and v2 wire formats,
-// then measures the skipper engine (pipeline on) under increasing fault
-// rates plus the crash/restart scenario.
+// FaultSweepData verifies the chaos gate on every gate format, then
+// measures the skipper engine (pipeline on) over the decodedDataset
+// under increasing fault rates plus the crash/restart scenario.
 func (p Params) FaultSweepData() ([]FaultPoint, error) {
-	base := p.clusteredDataset()
-	for _, f := range []segment.Format{segment.FormatV1, segment.FormatV2} {
-		ds, err := objstore.ReencodeDataset(base, f)
-		if err != nil {
-			return nil, fmt.Errorf("format %v: %w", f, err)
-		}
-		if err := p.VerifyFaultsIdentical(ds); err != nil {
-			return nil, fmt.Errorf("format %v: %w", f, err)
-		}
+	if err := p.verifyGate("faults"); err != nil {
+		return nil, err
 	}
-	mf := p.Format
-	if mf == segment.FormatMem {
-		mf = segment.FormatV2
-	}
-	ds, err := objstore.ReencodeDataset(base, mf)
+	ds, err := p.decodedDataset()
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +145,7 @@ func (p Params) FaultReport() (*Figure, error) {
 	f := &Figure{
 		ID: "Fault sweep",
 		Title: fmt.Sprintf("Fault injection and recovery (%d tenants × %d passes, round-robin layout, skipper engine, pipeline on; per-object fault cap 3, retry backoff 500ms..8s)",
-			cacheSweepClients, cacheSweepPasses),
+			scenarioClients, scenarioPasses),
 		Columns: []string{
 			"scenario", "makespan (s)", "avg client (s)", "device GETs",
 			"transient", "stalls", "corrupt", "crashes", "retries", "backoff (s)",
@@ -277,8 +174,8 @@ func (p Params) FaultReport() (*Figure, error) {
 		})
 	}
 	f.Notes = append(f.Notes,
-		"results verified byte-identical clean vs faulted across engines, formats (v1/v2), DOP {1,4} and pipeline off/on",
-		"per client, device GETs == GETs issued - cache hits - prefetch served + prefetch issued (retries are both a client GET and a device GET)",
+		"results verified byte-identical clean vs faulted across engines, formats (mem/v1/v2), DOP {1,4} and pipeline off/on, under this sweep's retry policy and, at a 0.25 corruption rate, the default one",
+		"every run passes RunResult.Check: per client, device GETs received + refused == GETs issued - cache hits - prefetch served + prefetch issued (a retry is both a client GET and a device GET)",
 	)
 	return f, nil
 }

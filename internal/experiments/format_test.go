@@ -82,7 +82,7 @@ func TestFormatDifferential(t *testing.T) {
 	for _, q := range formatDiffQueries {
 		q := q
 		t.Run(q.name, func(t *testing.T) {
-			want := map[skipper.Mode][]string{}
+			want := map[skipper.Mode]*baseline{}
 			for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
 				for _, f := range formats {
 					ds := datasets[f]
@@ -94,16 +94,14 @@ func TestFormatDifferential(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
 							}
-							got := render(rows)
 							key := mode
 							if q.crossEngine {
 								key = skipper.ModeVanilla // one bucket for all runs
 							}
 							if want[key] == nil {
-								want[key] = got
-								continue
+								want[key] = &baseline{}
 							}
-							if err := equalStrings(want[key], got); err != nil {
+							if err := want[key].check(rows); err != nil {
 								t.Fatalf("%s diverges: %v", label, err)
 							}
 						}
@@ -121,7 +119,7 @@ func TestFormatDifferential(t *testing.T) {
 func TestFormatDifferentialScrambledArrivals(t *testing.T) {
 	p := Quick()
 	base := p.clusteredDataset()
-	var want []string
+	var want baseline
 	for _, f := range []segment.Format{segment.FormatMem, segment.FormatV1, segment.FormatV2} {
 		ds, err := objstore.ReencodeDataset(base, f)
 		if err != nil {
@@ -138,12 +136,7 @@ func TestFormatDifferentialScrambledArrivals(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v seed %d: %v", f, seed, err)
 			}
-			got := render(rows)
-			if want == nil {
-				want = got
-				continue
-			}
-			if err := equalStrings(want, got); err != nil {
+			if err := want.check(rows); err != nil {
 				t.Fatalf("%v seed %d diverges: %v", f, seed, err)
 			}
 		}

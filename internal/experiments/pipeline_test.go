@@ -69,23 +69,21 @@ func TestPipelineConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestPipelineAccountingRejectsImbalance sanity-checks the invariant
-// checker itself against a doctored result.
+// TestPipelineAccountingRejectsImbalance: a pipelined run built by the
+// scenario harness passes RunResult.Check, and the same result with one
+// unaccounted prefetch does not.
 func TestPipelineAccountingRejectsImbalance(t *testing.T) {
 	p := Quick()
 	ds, err := p.encoded(p.clusteredDataset())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.runPipelineCluster(ds, skipper.ModeSkipper, 1, true, p.pipelineConfig(), false)
+	res, _, err := p.runScenario(ds, Scenario{Mode: skipper.ModeSkipper, DOP: 1, Prune: true, Pipeline: p.pipelineConfig()})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkPipelineAccounting(res); err != nil {
 		t.Fatalf("balanced run rejected: %v", err)
 	}
 	res.Clients[0].PrefetchIssued++
-	if err := checkPipelineAccounting(res); err == nil {
+	if err := res.Check(); err == nil {
 		t.Fatal("doctored run passed the accounting check")
 	}
 }

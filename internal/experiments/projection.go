@@ -8,7 +8,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/segment"
 	"repro/internal/skipper"
-	"repro/internal/tuple"
 	"repro/internal/workload"
 )
 
@@ -99,7 +98,7 @@ func (p Params) ProjectionReportData() ([]ProjectionPoint, error) {
 		// The specs are planned against the v2 catalog; both stores carry
 		// the same object ids and equivalent statistics, so one spec
 		// drives every run.
-		var want []string
+		var want baseline
 		for _, f := range []segment.Format{segment.FormatV1, segment.FormatV2} {
 			ds := encoded[f]
 			spec := projQueries(ds)[qi].spec
@@ -109,12 +108,7 @@ func (p Params) ProjectionReportData() ([]ProjectionPoint, error) {
 					if err != nil {
 						return nil, fmt.Errorf("%s %v %s prune=%v: %w", q.name, f, mode, prune, err)
 					}
-					got := render(rows)
-					if want == nil {
-						want = got
-						continue
-					}
-					if err := equalStrings(want, got); err != nil {
+					if err := want.check(rows); err != nil {
 						return nil, fmt.Errorf("%s: %v %s prune=%v diverges: %w", q.name, f, mode, prune, err)
 					}
 				}
@@ -198,26 +192,4 @@ func (p Params) ProjectionReport() (*Figure, error) {
 		}
 	}
 	return f, nil
-}
-
-// render stringifies rows for comparison.
-func render(rows []tuple.Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.String()
-	}
-	return out
-}
-
-// equalStrings requires two rendered result sets to match positionally.
-func equalStrings(a, b []string) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("%d rows vs %d rows", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Errorf("row %d: %s vs %s", i, a[i], b[i])
-		}
-	}
-	return nil
 }

@@ -227,18 +227,14 @@ func (p Params) PruneReport() (*Figure, error) {
 // queries end in ORDER BY over unique keys with integer aggregates, so
 // exact equality is the correct bar in every mode.
 func verifyPruneIdentical(ds *workload.Dataset, spec skipper.QuerySpec) error {
-	var want []tuple.Row
+	var want baseline
 	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
 		for _, prune := range []bool{true, false} {
 			rows, err := evalLocal(ds, spec, mode, prune)
 			if err != nil {
 				return fmt.Errorf("%s prune=%v: %w", mode, prune, err)
 			}
-			if want == nil {
-				want = rows
-				continue
-			}
-			if err := equalRows(want, rows); err != nil {
+			if err := want.check(rows); err != nil {
 				return fmt.Errorf("%s prune=%v diverges: %w", mode, prune, err)
 			}
 		}
@@ -271,19 +267,6 @@ func evalLocal(ds *workload.Dataset, spec skipper.QuerySpec, mode skipper.Mode, 
 		return res.Rows, nil
 	}
 	return engine.Collect(spec.Shape(engine.NewValues(res.Schema, res.Rows)))
-}
-
-// equalRows requires two result sets to be identical, row for row.
-func equalRows(a, b []tuple.Row) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("%d rows vs %d rows", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].String() != b[i].String() {
-			return fmt.Errorf("row %d: %s vs %s", i, a[i], b[i])
-		}
-	}
-	return nil
 }
 
 // immediateSource is an mjoin.Source that serves requests instantly from

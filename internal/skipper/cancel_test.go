@@ -1,7 +1,7 @@
 // Context-cancellation suite: the serving layer threads per-query
 // deadlines into client runs via skipper.Client.Ctx, so a canceled or
 // deadline-expired workload must abort with an error wrapping the
-// context's error and drain exactly like the PR 6 fail-stop paths — no
+// context's error and drain exactly like the fail-stop paths — no
 // deadlock, no leaked goroutines, no orphaned cache pins. Runs under
 // CI's -race job.
 package skipper_test
@@ -14,34 +14,25 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/layout"
+	"repro/internal/experiments"
 	"repro/internal/segcache"
 	"repro/internal/segment"
 	"repro/internal/skipper"
-	"repro/internal/workload"
 )
 
-// runCanceled executes the 2-pass probe workload on one client bound to
-// ctx, with the full pipeline (prefetch + decode workers) and a shared
-// cache so every drain path is armed.
+// runCanceled executes the repeated-query workload with every client
+// bound to ctx, with the full pipeline (prefetch + decode workers) and a
+// shared cache so every drain path is armed.
 func runCanceled(t *testing.T, ctx context.Context, mode skipper.Mode) (*skipper.RunResult, *segcache.Cache, error) {
 	t.Helper()
-	ds := sharedDataset(t, segment.FormatV2)
-	store := make(map[segment.ObjectID]*segment.Segment)
-	ds.MergeInto(store)
-	shared := segcache.NewObjects(len(ds.Catalog.AllObjects()))
-	cl := &skipper.Cluster{
-		Clients: []*skipper.Client{{
-			Tenant: 0, Mode: mode, Catalog: ds.Catalog,
-			Queries: workload.MultiPass(ds.Catalog, 2), CacheObjects: 6,
-			Pipeline: pipelineOn(), Ctx: ctx, KeepResults: true,
-		}},
-		Layout:      layout.RoundRobinObjects{NumGroups: 3},
-		Store:       store,
-		SharedCache: shared,
+	cl := build(t, sharedDataset(t, segment.FormatV2), experiments.Scenario{
+		Mode: mode, Prune: true, SharedCache: experiments.WholeDataset, Pipeline: pipelineOn(),
+	})
+	for _, c := range cl.Clients {
+		c.Ctx = ctx
 	}
 	res, err := cl.Run()
-	return res, shared, err
+	return res, cl.SharedCache, err
 }
 
 // TestClientContextExpiredDrains: a context that is already expired
@@ -82,9 +73,14 @@ func TestClientContextCancelMidRunDrains(t *testing.T) {
 			timer := time.AfterFunc(delay, cancel)
 			defer timer.Stop()
 			defer cancel()
-			_, shared, err := runCanceled(t, ctx, skipper.ModeSkipper)
+			res, shared, err := runCanceled(t, ctx, skipper.ModeSkipper)
 			if err != nil && !errors.Is(err, context.Canceled) {
 				t.Fatalf("error %v does not wrap context.Canceled", err)
+			}
+			if err == nil {
+				if err := res.Check(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if st := shared.Stats(); st.PinnedBytes != 0 {
 				t.Fatalf("canceled run left %d bytes pinned in the cache", st.PinnedBytes)
@@ -94,14 +90,19 @@ func TestClientContextCancelMidRunDrains(t *testing.T) {
 	}
 }
 
-// TestClientNilContextUnchanged pins the default: a client without a
-// Ctx runs to completion exactly as before the field existed.
+// TestClientNilContextUnchanged pins the default: clients without a Ctx
+// run to completion exactly as before the field existed.
 func TestClientNilContextUnchanged(t *testing.T) {
 	res, _, err := runCanceled(t, nil, skipper.ModeSkipper)
 	if err != nil {
 		t.Fatalf("nil-context run failed: %v", err)
 	}
-	if got := len(res.Clients[0].PerQuery); got != 4 {
-		t.Fatalf("nil-context run executed %d of 4 queries", got)
+	if err := res.Check(); err != nil {
+		t.Fatal(err)
+	}
+	for _, cs := range res.Clients {
+		if got := len(cs.PerQuery); got != 4 {
+			t.Fatalf("tenant %d: nil-context run executed %d of 4 queries", cs.Tenant, got)
+		}
 	}
 }

@@ -107,8 +107,8 @@ type ClientStats struct {
 	// for the device-visible traffic.
 	GetsIssued int
 	// CacheHits counts GETs served from the shared segment cache without
-	// touching the device: GetsIssued - CacheHits equals the GETs the CSD
-	// actually received from this client.
+	// touching the device (the device-visible count is below, with the
+	// prefetch counters).
 	CacheHits int
 	// SegmentsSkipped counts segment requests the statistics subsystem
 	// (zone maps + Bloom filters) avoided across the workload — fetches
@@ -134,7 +134,7 @@ type ClientStats struct {
 	// from staged prefetch deliveries instead of the device; and
 	// PrefetchUseful counts distinct prefetched objects a query actually
 	// consumed (staged or via a cache hit on a prefetched entry). The
-	// device-visible GET count of a client is
+	// device-visible GET count of a client (received plus refused) is
 	// GetsIssued - CacheHits - PrefetchServed + PrefetchIssued.
 	PrefetchIssued int
 	PrefetchServed int
@@ -142,12 +142,11 @@ type ClientStats struct {
 	// DeviceGets and PrefetchDeviceGets are the per-device ledgers of a
 	// device fleet: DeviceGets[d] counts the demand GETs (first requests
 	// and retries) this client submitted to device d, and
-	// PrefetchDeviceGets[d] the prefetcher's GETs on its behalf. In a
-	// clean run (no fault plan) GET conservation holds per device: device
-	// d's GetsByTenant[tenant] equals DeviceGets[d] +
-	// PrefetchDeviceGets[d]. Under faults a submission refused by a down
-	// device counts here but not at the device, exactly as the cluster
-	// invariant above only holds fault-free. Nil when no GET was routed.
+	// PrefetchDeviceGets[d] the prefetcher's GETs on its behalf. GET
+	// conservation holds per device, crash windows included: device d's
+	// GetsByTenant[tenant] + RefusedByTenant[tenant] equals
+	// DeviceGets[d] + PrefetchDeviceGets[d] (RunResult.Check). Nil when
+	// no GET was routed.
 	DeviceGets         map[int]int
 	PrefetchDeviceGets map[int]int
 	// Failovers counts recoveries that re-requested an object from a live

@@ -85,13 +85,8 @@ func TestPlannerPrunerSound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("unpruned %q: %v", q, err)
 		}
-		if len(pruned) != len(plain) {
-			t.Fatalf("%q: %d pruned rows vs %d unpruned", q, len(pruned), len(plain))
-		}
-		for i := range pruned {
-			if pruned[i].String() != plain[i].String() {
-				t.Fatalf("%q row %d: %s vs %s", q, i, pruned[i], plain[i])
-			}
+		if err := skipper.SameRows(pruned, plain); err != nil {
+			t.Fatalf("%q pruned vs unpruned: %v", q, err)
 		}
 	}
 }
