@@ -2,6 +2,7 @@ package mjoin
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -16,11 +17,15 @@ import (
 // subplan execution probes those tables directly — no per-subplan
 // rebuild. Relation 0 (the probe root) needs no hash table.
 //
-// Execution is batch-at-a-time: cached rows live in columnar batches
-// whose key column is hashed with one vectorized pass at build time, and
-// probe chains advance level by level over slices of partial tuples, so
-// the per-row work in the inner loop is a table lookup plus an equality
-// check — no hashing, no schema lookups.
+// Execution is batch-at-a-time and late-materialising: cached rows live
+// in columnar batches whose key column is hashed with one vectorized pass
+// at build time, and probe chains advance level by level over flat
+// row-index vectors — a partial tuple is one row index per joined
+// relation, and each level reads its key straight from the owning
+// relation's cached column. The per-tuple work in the inner loop is a
+// key hash, a table lookup and an equality check; no row is built until
+// a tuple has survived the last level, and then all of a chunk's result
+// rows share one value arena.
 //
 // With Config.Parallelism > 1 the probeChunk-sized root partitions of a
 // subplan are claimed by a pool of workers, each expanding its chunks
@@ -113,20 +118,23 @@ func (m *manager) decodeArrival(rel int, seg *segment.Segment, reuse *segment.Co
 		skippedByProjection: cd.BytesSkipped,
 		materialized:        cd.BytesMaterialized,
 	}
-	batch := tuple.NewBatch(schema, cd.NumRows)
 	if r.Filter == nil {
+		batch := tuple.NewBatch(schema, cd.NumRows)
 		batch.AppendColumns(cd.Cols, 0, cd.NumRows)
 		return batch, cd, by, nil
 	}
-	// Evaluate the filter over a scratch row assembled per index; columns
-	// outside the projection keep a fixed typed zero value (the planner
-	// guarantees the filter never reads them).
+	// Evaluate the filter into a selection vector first, so the cached
+	// batch is sized to the surviving rows. The filter reads a scratch
+	// row assembled per index; columns outside the projection keep a
+	// fixed typed zero value (the planner guarantees the filter never
+	// reads them).
 	scratch := make(tuple.Row, schema.Len())
 	for c := range cd.Cols {
 		if cd.Cols[c] == nil {
 			scratch[c] = tuple.Value{K: schema.Cols[c].Kind}
 		}
 	}
+	sel := make([]int32, 0, cd.NumRows)
 	for i := 0; i < cd.NumRows; i++ {
 		for c := range cd.Cols {
 			if cd.Cols[c] != nil {
@@ -138,9 +146,11 @@ func (m *manager) decodeArrival(rel int, seg *segment.Segment, reuse *segment.Co
 			panic(fmt.Sprintf("mjoin: filter on %v: %v", seg.ID, err))
 		}
 		if keep {
-			batch.AppendRow(scratch)
+			sel = append(sel, int32(i))
 		}
 	}
+	batch := tuple.NewBatch(schema, len(sel))
+	batch.AppendSelected(cd.Cols, sel)
 	return batch, cd, by, nil
 }
 
@@ -162,46 +172,56 @@ func (m *manager) buildEntry(rel int, batch *tuple.Batch) *cacheEntry {
 	return e
 }
 
-// probePlan precomputes, for each relation i>0, where the chain's left
-// key lives in the accumulated partial tuple.
+// probePlan resolves, once per query, where each probe level reads its
+// key: the relation that owns the join's left column and the column's
+// index in that relation's cached batch.
 type probePlan struct {
-	// leftIdx[i-1] is the offset of Joins[i-1].LeftCol within the
-	// concatenation of relations 0..i-1.
-	leftIdx []int
-	// width[i] is the arity of relation i.
-	width []int
+	// leftRel[i-1] and leftCol[i-1] locate Joins[i-1].LeftCol: it is
+	// column leftCol[i-1] of relation leftRel[i-1] (< i).
+	leftRel, leftCol []int
+	// width is the output arity: the sum of the relations' arities.
+	width int
 }
 
 func buildProbePlan(q *Query) (*probePlan, error) {
-	pp := &probePlan{}
 	acc := q.Relations[0].Table.Schema
-	pp.width = append(pp.width, acc.Len())
+	pp := &probePlan{width: acc.Len()}
+	// offset[r] is where relation r starts in the accumulated schema.
+	offset := []int{0}
 	for i, jc := range q.Joins {
 		idx, ok := acc.ColIndex(jc.LeftCol)
 		if !ok {
 			return nil, fmt.Errorf("mjoin: join %d: column %q not found in accumulated schema", i, jc.LeftCol)
 		}
-		pp.leftIdx = append(pp.leftIdx, idx)
+		r := i
+		for offset[r] > idx {
+			r--
+		}
+		pp.leftRel = append(pp.leftRel, r)
+		pp.leftCol = append(pp.leftCol, idx-offset[r])
 		rs := q.Relations[jc.Rel].Table.Schema
-		pp.width = append(pp.width, rs.Len())
+		offset = append(offset, pp.width)
+		pp.width += rs.Len()
 		acc = acc.Concat(rs)
 	}
 	return pp, nil
 }
 
 // probeScratch is one worker's reusable probe-chain state: the hash
-// buffer for the vectorized key pass and the two partial-tuple buffers
-// ping-ponged across chain levels.
+// buffer for the vectorized cache-entry build and the two row-index
+// vectors ping-ponged across chain levels. Before level d joins relation
+// d, a partial tuple is d consecutive indices: for each of relations
+// 0..d-1, the row it contributes, as an index into its cached batch.
 type probeScratch struct {
 	hashBuf []uint64
-	curBuf  []tuple.Row
-	nextBuf []tuple.Row
+	cur     []int32
+	next    []int32
 }
 
 // executeSubplan joins the subplan's cached segments by probing the
-// per-object hash tables left to right, a batch of partial tuples at a
-// time, and appends result tuples. With DOP > 1 and more than one chunk
-// of root rows, the chunks run on a worker pool.
+// per-object hash tables left to right, a chunk of root rows at a time,
+// and appends result tuples. With DOP > 1 and more than one chunk of
+// root rows, the chunks run on a worker pool.
 func (m *manager) executeSubplan(sp subplan) {
 	entries := make([]*cacheEntry, len(sp))
 	for ri, si := range sp {
@@ -215,12 +235,12 @@ func (m *manager) executeSubplan(sp subplan) {
 		}
 		entries[ri] = e
 	}
-	root := entries[0].batch
-	nChunks := (root.Len() + probeChunk - 1) / probeChunk
+	rootLen := entries[0].batch.Len()
+	nChunks := (rootLen + probeChunk - 1) / probeChunk
 	if m.dop <= 1 || nChunks <= 1 {
-		for start := 0; start < root.Len(); start += probeChunk {
-			end := min(start+probeChunk, root.Len())
-			m.probeLevels(entries, root, start, end, &m.scratches[0], &m.rows)
+		for start := 0; start < rootLen; start += probeChunk {
+			end := min(start+probeChunk, rootLen)
+			m.probeLevels(entries, start, end, &m.scratches[0], &m.rows)
 		}
 		return
 	}
@@ -242,8 +262,8 @@ func (m *manager) executeSubplan(sp subplan) {
 					return
 				}
 				start := c * probeChunk
-				end := min(start+probeChunk, root.Len())
-				m.probeLevels(entries, root, start, end, sc, &results[c])
+				end := min(start+probeChunk, rootLen)
+				m.probeLevels(entries, start, end, sc, &results[c])
 			}
 		}(w)
 	}
@@ -253,46 +273,62 @@ func (m *manager) executeSubplan(sp subplan) {
 	}
 }
 
-// probeLevels expands root rows [start, end) through every probe level,
-// appending the surviving full-width tuples to *sink. All mutable state
-// lives in sc and sink, so concurrent calls over disjoint chunks with
-// distinct scratches are race-free; entries and the probe plan are only
-// read.
-func (m *manager) probeLevels(entries []*cacheEntry, root *tuple.Batch, start, end int, sc *probeScratch, sink *[]tuple.Row) {
-	cur := sc.curBuf[:0]
+// probeLevels expands root rows [start, end) through every probe level as
+// row-index tuples and appends the surviving tuples to *sink as
+// full-width rows. Level d extends each partial in order by each of its
+// matches in relation d in bucket (row) order, so the output keeps the
+// lexicographic (root, match, ...) order of a nested-loop join. All
+// mutable state lives in sc and sink, so concurrent calls over disjoint
+// chunks with distinct scratches are race-free; entries and the probe
+// plan are only read.
+func (m *manager) probeLevels(entries []*cacheEntry, start, end int, sc *probeScratch, sink *[]tuple.Row) {
+	cur := sc.cur[:0]
 	for i := start; i < end; i++ {
-		cur = append(cur, root.Row(i))
+		cur = append(cur, int32(i))
 	}
-	next := sc.nextBuf[:0]
+	next := sc.next[:0]
 	for depth := 1; depth < len(entries) && len(cur) > 0; depth++ {
 		e := entries[depth]
-		keyIdx := m.probe.leftIdx[depth-1]
-		width := m.probe.width[depth]
-		// One vectorized pass hashes every partial's key; the inner loop
-		// below only looks up and verifies.
-		sc.hashBuf = tuple.HashRowsKey(cur, keyIdx, sc.hashBuf)
+		leftRel := m.probe.leftRel[depth-1]
+		leftKeys := entries[leftRel].batch.Col(m.probe.leftCol[depth-1])
 		keyCol := e.batch.Col(e.keyIdx)
 		next = next[:0]
-		for i, p := range cur {
-			key := p[keyIdx]
-			for _, mi := range e.table[sc.hashBuf[i]] {
+		for p := 0; p < len(cur); p += depth {
+			partial := cur[p : p+depth]
+			key := leftKeys[partial[leftRel]]
+			for _, mi := range e.table[tuple.HashKey(key)] {
 				mv := keyCol[mi]
 				if mv.K != key.K || !tuple.Equal(key, mv) {
 					continue // hash collision
 				}
-				combined := make(tuple.Row, 0, len(p)+width)
-				combined = append(combined, p...)
-				combined = e.batch.AppendRowTo(combined, int(mi))
-				next = append(next, combined)
+				next = append(next, partial...)
+				next = append(next, mi)
 			}
 		}
 		cur, next = next, cur
 	}
-	*sink = append(*sink, cur...)
-	// Hand the (possibly grown) buffers back for reuse. After the swaps,
-	// cur's backing array holds the emitted row headers; the sink slice
-	// copied them, so both arrays are safe to recycle.
-	sc.curBuf, sc.nextBuf = cur[:0], next[:0]
+	m.materialize(entries, cur, sink)
+	sc.cur, sc.next = cur[:0], next[:0]
+}
+
+// materialize appends the rows of complete index tuples (one index per
+// relation) to *sink. The rows share one value arena; each is capped at
+// its own width, so appending to one cannot overwrite the next.
+func (m *manager) materialize(entries []*cacheEntry, tuples []int32, sink *[]tuple.Row) {
+	n := len(tuples) / len(entries)
+	if n == 0 {
+		return
+	}
+	w := m.probe.width
+	arena := make([]tuple.Value, n*w)
+	*sink = slices.Grow(*sink, n)
+	for t := 0; t < n; t++ {
+		row := arena[t*w : t*w : (t+1)*w]
+		for r, idx := range tuples[t*len(entries) : (t+1)*len(entries)] {
+			row = entries[r].batch.AppendRowTo(row, int(idx))
+		}
+		*sink = append(*sink, row)
+	}
 }
 
 // filterRows applies the relation's local predicate.

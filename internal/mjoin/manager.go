@@ -211,6 +211,20 @@ type manager struct {
 
 // Run executes the query to completion against the source.
 func Run(q *Query, cfg Config, src Source) (*Result, error) {
+	m, err := newManager(q, cfg, src)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.loop(); err != nil {
+		return nil, err
+	}
+	m.stats.ResultRows = len(m.rows)
+	return &Result{Schema: m.schema, Rows: m.rows, Stats: m.stats}, nil
+}
+
+// newManager validates q against cfg and returns the execution state with
+// every subplan pending and nothing cached.
+func newManager(q *Query, cfg Config, src Source) (*manager, error) {
 	schema, err := q.Validate()
 	if err != nil {
 		return nil, err
@@ -268,11 +282,7 @@ func Run(q *Query, cfg Config, src Source) (*Result, error) {
 	if cfg.StatsPruning {
 		m.skipByStats()
 	}
-	if err := m.loop(); err != nil {
-		return nil, err
-	}
-	m.stats.ResultRows = len(m.rows)
-	return &Result{Schema: schema, Rows: m.rows, Stats: m.stats}, nil
+	return m, nil
 }
 
 // skipByStats retires, before the first request cycle, every subplan

@@ -51,6 +51,10 @@ type relSpec struct {
 	col    string // key column name (unique across relations)
 	keys   []int64
 	perSeg int
+	// fks, when set, adds a third column <col>_fk holding a second join
+	// key per row, so a chain can join on a column other than the key
+	// the relation was itself joined by.
+	fks []int64
 }
 
 func buildDB(t testing.TB, specs []relSpec) (*catalog.Catalog, map[segment.ObjectID]*segment.Segment) {
@@ -58,13 +62,20 @@ func buildDB(t testing.TB, specs []relSpec) (*catalog.Catalog, map[segment.Objec
 	cat := catalog.New(0)
 	store := make(map[segment.ObjectID]*segment.Segment)
 	for _, spec := range specs {
-		sch := tuple.NewSchema(
-			tuple.Column{Name: spec.col, Kind: tuple.KindInt64},
-			tuple.Column{Name: spec.col + "_tag", Kind: tuple.KindString},
-		)
+		cols := []tuple.Column{
+			{Name: spec.col, Kind: tuple.KindInt64},
+			{Name: spec.col + "_tag", Kind: tuple.KindString},
+		}
+		if spec.fks != nil {
+			cols = append(cols, tuple.Column{Name: spec.col + "_fk", Kind: tuple.KindInt64})
+		}
+		sch := tuple.NewSchema(cols...)
 		rows := make([]tuple.Row, len(spec.keys))
 		for i, k := range spec.keys {
 			rows[i] = tuple.Row{tuple.Int(k), tuple.Str(fmt.Sprintf("%s%d", spec.name, i))}
+			if spec.fks != nil {
+				rows[i] = append(rows[i], tuple.Int(spec.fks[i]))
+			}
 		}
 		segs := segment.Split(0, spec.name, rows, spec.perSeg, 1e9)
 		for _, sg := range segs {

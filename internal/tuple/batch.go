@@ -5,7 +5,7 @@ package tuple
 // (or row by row), hand it downstream, and reuse the buffers on the next
 // cycle. A batch handed to a consumer is valid only until the producer's
 // next NextBatch call, so blocking consumers must copy what they keep
-// (Rows and Row return copies).
+// (Rows and AppendRowTo copy).
 type Batch struct {
 	schema *Schema
 	cols   [][]Value
@@ -130,13 +130,28 @@ func (b *Batch) AppendColumns(cols [][]Value, start, end int) {
 	b.n += n
 }
 
-// Row materializes row i as a freshly allocated Row.
-func (b *Batch) Row(i int) Row {
-	out := make(Row, len(b.cols))
+// AppendSelected appends the rows named by sel, in sel's order, of the
+// given per-column value slices (shaped as for AppendColumns) into the
+// batch, gathering one column at a time. It lets a filter run first into
+// a selection vector, so the batch is sized to the rows that survive.
+// A nil column slice is filled with the column kind's zero value.
+func (b *Batch) AppendSelected(cols [][]Value, sel []int32) {
 	for c := range b.cols {
-		out[c] = b.cols[c][i]
+		dst := b.cols[c]
+		if cols[c] == nil {
+			zero := Value{K: b.schema.Cols[c].Kind}
+			for range sel {
+				dst = append(dst, zero)
+			}
+		} else {
+			src := cols[c]
+			for _, i := range sel {
+				dst = append(dst, src[i])
+			}
+		}
+		b.cols[c] = dst
 	}
-	return out
+	b.n += len(sel)
 }
 
 // AppendRowTo appends row i's values to dst and returns it; pass a reused
@@ -217,19 +232,9 @@ func HashRowKey(r Row, keys []int) uint64 {
 	return h
 }
 
-// HashRowsKey hashes one key column across a slice of rows, writing into
-// dst (reused when large enough). It vectorizes the probe side of chains
-// whose partial tuples are materialized rows.
-func HashRowsKey(rows []Row, keyIdx int, dst []uint64) []uint64 {
-	if cap(dst) < len(rows) {
-		dst = make([]uint64, len(rows))
-	} else {
-		dst = dst[:len(rows)]
-	}
-	seed := uint64(hashBasis)
-	seed *= hashPrime // wraps; matches HashRowKey's first step
-	for i, r := range rows {
-		dst[i] = seed ^ r[keyIdx].Hash()
-	}
-	return dst
+// HashKey hashes a single key value: HashColumns and HashRowKey over one
+// key column, for probes that read their keys one value at a time.
+func HashKey(v Value) uint64 {
+	h := hashBasis
+	return h*hashPrime ^ v.Hash()
 }

@@ -41,9 +41,6 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Fatal("Rows() round trip differs")
 	}
 	for i := range rows {
-		if !reflect.DeepEqual(b.Row(i), rows[i]) {
-			t.Fatalf("Row(%d) differs", i)
-		}
 		var scratch Row
 		if got := b.AppendRowTo(scratch[:0], i); !reflect.DeepEqual(got, rows[i]) {
 			t.Fatalf("AppendRowTo(%d) differs", i)
@@ -93,7 +90,7 @@ func TestBatchReserve(t *testing.T) {
 		t.Fatalf("after Reserve(8): len %d cap %d full %v", b.Len(), b.Cap(), b.Full())
 	}
 	for i, r := range rows {
-		if !reflect.DeepEqual(b.Row(i), r) {
+		if !reflect.DeepEqual(b.AppendRowTo(nil, i), r) {
 			t.Fatalf("row %d lost by Reserve", i)
 		}
 	}
@@ -116,15 +113,53 @@ func TestBatchAppendBatchRow(t *testing.T) {
 		dst.AppendBatchRow(src, i)
 	}
 	for i := range rows {
-		if !reflect.DeepEqual(dst.Row(i), rows[len(rows)-1-i]) {
+		if !reflect.DeepEqual(dst.AppendRowTo(nil, i), rows[len(rows)-1-i]) {
 			t.Fatalf("row %d differs", i)
 		}
 	}
 }
 
+// TestBatchAppendSelected: gathering a selection from column slices keeps
+// sel's order, and a nil (unprojected) column gets its kind's zero value.
+func TestBatchAppendSelected(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sch := batchTestSchema()
+	rows := make([]Row, 20)
+	for i := range rows {
+		rows[i] = randRow(rng)
+	}
+	src := FromRows(sch, rows)
+	cols := make([][]Value, sch.Len())
+	for c := range cols {
+		cols[c] = src.Col(c)
+	}
+	cols[2] = nil // the string column was not decoded
+	sel := []int32{17, 0, 3, 3, 19}
+	b := NewBatch(sch, len(sel))
+	b.AppendRow(rows[1]) // appends after existing rows
+	b.AppendSelected(cols, sel)
+	if b.Len() != len(sel)+1 {
+		t.Fatalf("len %d, want %d", b.Len(), len(sel)+1)
+	}
+	if !reflect.DeepEqual(b.AppendRowTo(nil, 0), rows[1]) {
+		t.Fatal("existing row changed")
+	}
+	for j, i := range sel {
+		want := append(Row(nil), rows[i]...)
+		want[2] = Value{K: KindString}
+		if got := b.AppendRowTo(nil, j+1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("selected row %d (source %d): got %v, want %v", j, i, got, want)
+		}
+	}
+	b.AppendSelected(cols, nil)
+	if b.Len() != len(sel)+1 {
+		t.Fatal("an empty selection appended rows")
+	}
+}
+
 // TestHashColumnsMatchesHashRowKey: the vectorized column hash, the scalar
-// row-key hash and the single-column row-slice hash must agree — the
-// engine mixes all three on the two sides of a join.
+// row-key hash and, for one key column, the per-value key hash must agree
+// — the engine mixes them on the two sides of a join.
 func TestHashColumnsMatchesHashRowKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	sch := batchTestSchema()
@@ -141,10 +176,9 @@ func TestHashColumnsMatchesHashRowKey(t *testing.T) {
 			}
 		}
 		if len(keys) == 1 {
-			sl := HashRowsKey(rows, keys[0], nil)
-			for i := range rows {
-				if sl[i] != hashes[i] {
-					t.Fatalf("HashRowsKey key %d row %d differs", keys[0], i)
+			for i, r := range rows {
+				if got := HashKey(r[keys[0]]); got != hashes[i] {
+					t.Fatalf("HashKey key %d row %d: %x, batch %x", keys[0], i, got, hashes[i])
 				}
 			}
 		}
